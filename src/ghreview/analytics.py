@@ -17,9 +17,9 @@ from .models import (
     Category,
     Corpus,
     Repository,
-    issue_reviewers,
+    User,
     received_comment_count,
-    repo_reviewers,
+    reviewer_postings,
 )
 from .sentiment import repo_sentiment
 from .units import DAY, HOUR
@@ -218,25 +218,8 @@ def _mean(values: list[float]) -> float | None:
     return math.fsum(values) / len(values)
 
 
-def _between_window_commits(repo: Repository) -> list:
-    """Commits strictly inside some consecutive-opening window.
-
-    A commit timestamped exactly at an issue opening belongs to no window.
-    """
-    times = [i.created_at for i in repo.issues_by_time()]
-    if len(times) < 2:
-        return []
-    picked = []
-    for commit in repo.commits:
-        for lo, hi in zip(times, times[1:]):
-            if lo < commit.created_at < hi:
-                picked.append(commit)
-                break
-    return picked
-
-
-def repo_metrics(repo: Repository) -> dict[str, float]:
-    """One repository's contribution to each summary field, absent keys skipped."""
+def _event_metrics(repo: Repository) -> dict[str, float]:
+    """``repo_metrics`` without the comment sentiment."""
     out: dict[str, float] = {}
     issues = repo.issues_by_time()
     n = len(issues)
@@ -249,7 +232,8 @@ def repo_metrics(repo: Repository) -> dict[str, float]:
     opened = [i for i in issues if i.closed_at is None]
     if n:
         out["closed_pct"] = 100.0 * len(closed) / n
-        out["reviewers_per_issue"] = math.fsum(len(issue_reviewers(i)) for i in issues) / n
+        postings = reviewer_postings(issues)
+        out["reviewers_per_issue"] = math.fsum(len(reviewed) for reviewed in postings.values()) / n
         out["days_to_first_issue"] = (issues[0].created_at - repo.created_at) / DAY
         out["commits_before_first_issue"] = float(
             sum(1 for c in repo.commits if c.created_at < issues[0].created_at)
@@ -269,45 +253,42 @@ def repo_metrics(repo: Repository) -> dict[str, float]:
     if n >= 2:
         gaps = [b.created_at - a.created_at for a, b in zip(issues, issues[1:])]
         out["hours_between_issue_openings"] = math.fsum(gaps) / len(gaps) / HOUR
-        window_commits = _between_window_commits(repo)
+        # strictly inside some consecutive-opening window: a commit exactly
+        # at an issue opening belongs to no window
+        first, last = issues[0].created_at, issues[-1].created_at
+        openings = {i.created_at for i in issues}
+        window_commits = [
+            c for c in repo.commits if first < c.created_at < last and c.created_at not in openings
+        ]
         out["commits_between_issues"] = len(window_commits) / (n - 1)
         out["lines_added_per_issue"] = math.fsum(c.lines_added for c in window_commits) / n
         out["lines_removed_per_issue"] = math.fsum(c.lines_removed for c in window_commits) / n
+    return out
+
+
+def repo_metrics(repo: Repository) -> dict[str, float]:
+    """One repository's contribution to each summary field, absent keys skipped."""
+    out = _event_metrics(repo)
     score, n_comments = repo_sentiment(repo)
     if n_comments:
         out["mean_sentiment"] = score
     return out
 
 
-def _select(corpus: Corpus, category: Category | str | None) -> list[Repository]:
-    if category is None:
-        return list(corpus.repos)
-    cat = Category.parse(category) if isinstance(category, str) else category
-    return [r for r in corpus.repos if r.category is cat]
-
-
-def _category_name(category: Category | str | None) -> str:
-    if category is None:
-        return "all"
-    if isinstance(category, Category):
-        return category.value
-    return str(category)
+def _select(corpus: Corpus, category: Category | str | None) -> tuple[list[Repository], str | None]:
+    """The selected repositories and the category's name (None for the whole corpus)."""
+    cat = None if category is None else Category.parse(category)
+    return corpus.by_category(cat), (None if cat is None else cat.value)
 
 
 def repo_summary(corpus: Corpus, category: Category | str | None = None) -> RepoSummary:
-    repos = _select(corpus, category)
+    repos, cat_name = _select(corpus, category)
     if not repos:
-        raise EmptySelectionError(
-            f"no repositories selected (category={_category_name(category)})"
-        )
+        raise EmptySelectionError(f"no repositories selected (category={cat_name or 'all'})")
     columns: dict[str, list[float]] = {name: [] for name in SUMMARY_FIELDS}
     for repo in repos:
         for name, value in repo_metrics(repo).items():
             columns[name].append(value)
-    cat_name = None
-    if category is not None:
-        cat = Category.parse(category) if isinstance(category, str) else category
-        cat_name = cat.value
     return RepoSummary(
         category=cat_name,
         n_repos=len(repos),
@@ -351,49 +332,37 @@ def corpus_reference_time(corpus: Corpus) -> float:
     return latest
 
 
-def _total_comments(repo: Repository) -> float:
-    return float(sum(len(i.comments) for i in repo.issues))
-
-
 def _feature_extractors(corpus: Corpus) -> dict[str, Callable[[Repository], float | None]]:
     reference = corpus_reference_time(corpus)
+    metrics: dict[str, dict[str, float]] = {}
 
-    def repo_age(repo: Repository) -> float:
-        return (reference - repo.created_at) / DAY
+    def metric(name: str) -> Callable[[Repository], float | None]:
+        def extract(repo: Repository) -> float | None:
+            if repo.id not in metrics:
+                metrics[repo.id] = _event_metrics(repo)
+            return metrics[repo.id].get(name)
 
-    def commits_before_first(repo: Repository) -> float | None:
-        issues = repo.issues_by_time()
-        if not issues:
-            return None
-        return float(sum(1 for c in repo.commits if c.created_at < issues[0].created_at))
+        return extract
 
-    def commits_between(repo: Repository) -> float | None:
-        n = len(repo.issues)
-        if n < 2:
-            return None
-        return len(_between_window_commits(repo)) / (n - 1)
+    def comments(repo: Repository) -> float:
+        return float(sum(len(i.comments) for i in repo.issues))
 
-    def opener_followers(repo: Repository) -> float | None:
-        if not repo.issues:
-            return None
-        return math.fsum(i.opener.followers for i in repo.issues) / len(repo.issues)
-
-    def owner_followers(repo: Repository) -> float:
-        return float(repo.owner.followers)
+    def stars(repo: Repository) -> float:
+        return float(repo.stargazers)
 
     return {
-        "repo_age": repo_age,
+        "repo_age": lambda r: (reference - r.created_at) / DAY,
         "contributors": lambda r: float(len(r.contributors)),
-        "issue_comments": _total_comments,
-        "comments": _total_comments,
+        "issue_comments": comments,
+        "comments": comments,
         "commits": lambda r: float(len(r.commits)),
-        "reviewers": lambda r: float(len(repo_reviewers(r))),
-        "commits_before_first_issue": commits_before_first,
-        "commits_between_issues": commits_between,
-        "issue_opener_followers": opener_followers,
-        "repo_owner_followers": owner_followers,
-        "stars": lambda r: float(r.stargazers),
-        "stargazers": lambda r: float(r.stargazers),
+        "reviewers": lambda r: float(len(reviewer_postings(r.issues))),
+        "commits_before_first_issue": metric("commits_before_first_issue"),
+        "commits_between_issues": metric("commits_between_issues"),
+        "issue_opener_followers": metric("opener_followers"),
+        "repo_owner_followers": metric("owner_followers"),
+        "stars": stars,
+        "stargazers": stars,
         "forks": lambda r: float(r.forks),
         "watchers": lambda r: float(r.watchers),
         "issues_count": lambda r: float(len(r.issues)),
@@ -436,11 +405,10 @@ def correlate_features(
     fewer than 3 usable repos or a constant series carry a note instead of
     failing the whole report.
     """
-    repos = _select(corpus, category)
+    repos, cat_name = _select(corpus, category)
     if len(repos) < 3:
         raise EmptySelectionError(
-            f"need at least 3 repositories, got {len(repos)} "
-            f"(category={_category_name(category)})"
+            f"need at least 3 repositories, got {len(repos)} (category={cat_name or 'all'})"
         )
     if target == "issues":
         targets: dict[str, float] = {r.id: float(len(r.issues)) for r in repos}
@@ -480,10 +448,6 @@ def correlate_features(
             rows.append(CorrelationRow(name, None, None, len(xs), note="constant series"))
             continue
         rows.append(CorrelationRow(name, result.r, result.p, result.n))
-    cat_name = None
-    if category is not None:
-        cat = Category.parse(category) if isinstance(category, str) else category
-        cat_name = cat.value
     return CorrelationReport(target=target, category=cat_name, rows=tuple(rows))
 
 
@@ -518,40 +482,32 @@ def expertise_coverage(
     category: Category | str | None = None,
     repos: Sequence[Repository] | None = None,
 ) -> CoverageReport:
-    selection = list(repos) if repos is not None else _select(corpus, category)
-    cat_name = None
-    if category is not None:
-        cat = Category.parse(category) if isinstance(category, str) else category
-        cat_name = cat.value
+    selection, cat_name = _select(corpus, category)
+    if repos is not None:
+        selection = list(repos)
 
-    issue_keys: list[tuple[str, str]] = []
-    commenters: dict[tuple[str, str], set[str]] = {}
-    follower_of: dict[str, int] = {}
+    n_issues = 0
+    postings: dict[User, list[tuple[str, str]]] = {}
     for repo in selection:
-        for issue in repo.issues:
-            key = (repo.id, issue.id)
-            issue_keys.append(key)
-            who = issue_reviewers(issue)
-            commenters[key] = {user.login for user in who}
-            for user in who:
-                follower_of[user.login] = user.followers
-    if not follower_of:
+        n_issues += len(repo.issues)
+        for user, reviewed in reviewer_postings(repo.issues).items():
+            postings.setdefault(user, []).extend((repo.id, issue) for issue in reviewed)
+    if not postings:
         return CoverageReport(
             category=cat_name,
             n_reviewers=0,
-            n_issues=len(issue_keys),
+            n_issues=n_issues,
             curve=(),
             popularity_ratio=None,
             top20_issue_coverage=None,
             empty=True,
         )
 
-    ranked = sorted(follower_of, key=lambda login: (-follower_of[login], login))
+    ranked = sorted(postings, key=lambda user: (-user.followers, user.login))
     m = len(ranked)
-    n_issues = len(issue_keys)
-    total_followers = sum(follower_of.values())
+    total_followers = sum(user.followers for user in ranked)
     k20 = math.ceil(0.2 * m)
-    top_followers = sum(follower_of[login] for login in ranked[:k20])
+    top_followers = sum(user.followers for user in ranked[:k20])
     if total_followers > 0:
         popularity_ratio = top_followers / total_followers
     else:
@@ -560,10 +516,8 @@ def expertise_coverage(
     curve: list[CoveragePoint] = []
     covered: set[tuple[str, str]] = set()
     top20_cov: float | None = None
-    for k, login in enumerate(ranked, start=1):
-        for key, who in commenters.items():
-            if login in who:
-                covered.add(key)
+    for k, user in enumerate(ranked, start=1):
+        covered.update(postings[user])
         pct_issues = 100.0 * len(covered) / n_issues if n_issues else 0.0
         curve.append(CoveragePoint(100.0 * k / m, pct_issues))
         if k == k20:

@@ -14,6 +14,8 @@ seconds, so a round-trip is record-wise equivalent modulo representation.
 from __future__ import annotations
 
 import json
+import math
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -60,6 +62,8 @@ def _parse_timestamp(value, line_no: int, field: str) -> float:
     if isinstance(value, bool):
         raise ArchiveParseError(line_no, f"field {field!r} must be a timestamp")
     if isinstance(value, (int, float)):
+        if not math.isfinite(value):
+            raise ArchiveParseError(line_no, f"field {field!r} must be a finite timestamp")
         return float(value)
     if isinstance(value, str):
         try:
@@ -91,6 +95,14 @@ def _require_int(record: dict, field: str, line_no: int, default=None) -> int:
         raise ArchiveParseError(line_no, f"missing field {field!r} in {record.get('kind')} record")
     if isinstance(value, bool) or not isinstance(value, int):
         raise ArchiveParseError(line_no, f"field {field!r} must be an integer")
+    return value
+
+
+def _optional(record: dict, field: str, line_no: int, kind: type, default):
+    """An optional field of one JSON type; absent means ``default``."""
+    value = record.get(field, default)
+    if not isinstance(value, kind):
+        raise ArchiveParseError(line_no, f"field {field!r} must be a {kind.__name__}")
     return value
 
 
@@ -207,6 +219,7 @@ class _Loader:
                 stargazers = _require_int(rec, "stargazers", line_no, default=0)
                 forks = _require_int(rec, "forks", line_no, default=0)
                 watchers = _require_int(rec, "watchers", line_no, default=0)
+                contributor_logins = _optional(rec, "contributors", line_no, list, [])
             except ArchiveParseError as err:
                 self.reject(line_no, str(err), err)
                 continue
@@ -229,7 +242,7 @@ class _Loader:
                 continue
             contributors = []
             ok = True
-            for login in rec.get("contributors", []):
+            for login in contributor_logins:
                 user = self._resolve_user(login, users, line_no, repo_id)
                 if user is None:
                     ok = False
@@ -257,6 +270,7 @@ class _Loader:
                 repo_id = _require_str(rec, "repo", line_no)
                 opener_login = _require_str(rec, "opener", line_no)
                 created_at = _parse_timestamp(_require(rec, "created_at", line_no), line_no, "created_at")
+                has_linked_code = _optional(rec, "has_linked_code", line_no, bool, False)
             except ArchiveParseError as err:
                 self.reject(line_no, str(err), err)
                 continue
@@ -304,7 +318,7 @@ class _Loader:
                 created_at=created_at,
                 closer=closer,
                 closed_at=closed_at,
-                has_linked_code=bool(rec.get("has_linked_code", False)),
+                has_linked_code=has_linked_code,
             )
             issues[issue_id] = issue
             repo.issues.append(issue)
@@ -316,6 +330,7 @@ class _Loader:
                 issue_id = _require_str(rec, "issue", line_no)
                 author_login = _require_str(rec, "author", line_no)
                 created_at = _parse_timestamp(_require(rec, "created_at", line_no), line_no, "created_at")
+                body = _optional(rec, "body", line_no, str, "")
             except ArchiveParseError as err:
                 self.reject(line_no, str(err), err)
                 continue
@@ -332,7 +347,7 @@ class _Loader:
                 self.reject(line_no, str(err), err)
                 continue
             issue.comments.append(
-                Comment(issue_id=issue_id, author=author, created_at=created_at, body=str(rec.get("body", "")))
+                Comment(issue_id=issue_id, author=author, created_at=created_at, body=body)
             )
 
     def _attach_commits(self, records, repos, users, issues):
@@ -400,7 +415,11 @@ def _dump(record: dict) -> str:
 
 
 def save_archive(corpus: Corpus, path) -> None:
-    """Write a corpus in canonical order: meta, users, repos, then events."""
+    """Write a corpus in canonical order: meta, users, repos, then events.
+
+    The file is written beside ``path`` under a temporary name and renamed
+    over it, so a failed save leaves any previous archive intact.
+    """
     path = Path(path)
     lines = [_dump({"kind": "meta", "version": ARCHIVE_VERSION, **corpus.meta})]
     for login in sorted(corpus.users):
@@ -461,4 +480,10 @@ def save_archive(corpus: Corpus, path) -> None:
             if commit.issue_id is not None:
                 rec["issue"] = commit.issue_id
             lines.append(_dump(rec))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

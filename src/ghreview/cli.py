@@ -26,6 +26,7 @@ from .analytics import (
     ISSUE_TARGET_FEATURES,
     SUMMARY_FIELDS,
     EmptySelectionError,
+    RepoSummary,
     correlate_features,
     expertise_coverage,
     popularity_vs_comments,
@@ -119,31 +120,20 @@ def _ensure_out(args: argparse.Namespace) -> str:
     return args.out
 
 
-def _present_categories(corpus: Corpus) -> list[Category]:
-    return [c for c in CATEGORY_ORDER if any(r.category is c for r in corpus.repos)]
-
-
 # ---------------------------------------------------------------------------
 # Table builders shared by the standalone subcommands and `report`.
 
 
-def _table1(corpus: Corpus) -> tuple[list[str], list[list]]:
+def _summaries(corpus: Corpus) -> dict[Category, RepoSummary]:
+    return {cat: repo_summary(corpus, cat) for cat in corpus.categories()}
+
+
+def _table1(summaries: dict[Category, RepoSummary]) -> tuple[list[str], list[list]]:
     header = ["statistic"] + [c.value for c in CATEGORY_ORDER]
-    summaries = {}
-    for cat in _present_categories(corpus):
-        summaries[cat.value] = repo_summary(corpus, cat).as_dict()
-    rows: list[list] = [
-        ["n_repos"]
-        + [
-            sum(1 for r in corpus.repos if r.category is cat)
-            for cat in CATEGORY_ORDER
-        ]
-    ]
+    columns = [summaries.get(cat) for cat in CATEGORY_ORDER]
+    rows: list[list] = [["n_repos"] + [s.n_repos if s else 0 for s in columns]]
     for name in SUMMARY_FIELDS:
-        rows.append(
-            [name]
-            + [summaries.get(cat.value, {}).get(name) for cat in CATEGORY_ORDER]
-        )
+        rows.append([name] + [getattr(s, name) if s else None for s in columns])
     return header, rows
 
 
@@ -151,7 +141,7 @@ def _correlation_table(corpus: Corpus, target: str) -> tuple[list[str], list[lis
     header = ["category", "feature", "r", "p", "n", "note"]
     rows: list[list] = []
     features = ISSUE_TARGET_FEATURES if target == "issues" else ICS_TARGET_FEATURES
-    for cat in _present_categories(corpus):
+    for cat in corpus.categories():
         try:
             report = correlate_features(corpus, target=target, category=cat)
         except EmptySelectionError as exc:
@@ -212,7 +202,7 @@ def _fig6(table: SimTable) -> tuple[list[str], list[list]]:
 def _expertise_tables(corpus: Corpus) -> tuple[tuple[list[str], list[list]], tuple[list[str], list[list]]]:
     table4_rows: list[list] = []
     fig7_rows: list[list] = []
-    for cat in _present_categories(corpus):
+    for cat in corpus.categories():
         report = expertise_coverage(corpus, category=cat)
         if report.empty:
             table4_rows.append([cat.value, 0, report.n_issues, None, None])
@@ -290,7 +280,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_summary(args: argparse.Namespace) -> int:
     corpus = _load(args)
     out = _ensure_out(args)
-    header, rows = _table1(corpus)
+    header, rows = _table1(_summaries(corpus))
     _write_table(out, "table1", header, rows, args.format)
     _write_manifest(out, args, [args.input])
     return 0
@@ -442,7 +432,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     table = simulate_corpus(corpus, _sim_configs(args), timeline_window=args.window)
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    h1, r1 = _table1(corpus)
+    summaries = _summaries(corpus)
+    h1, r1 = _table1(summaries)
     h2, r2 = _correlation_table(corpus, "issues")
     h3, r3 = _table3(table)
     (h4, r4), (h7, r7) = _expertise_tables(corpus)
@@ -454,14 +445,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "alpha_hours": args.alpha / HOUR,
         "acceptance_probabilities": list(args.ap),
-        "categories": {},
+        "categories": {
+            cat.value: {"summary": summary.as_dict() | {"n_repos": summary.n_repos}}
+            for cat, summary in summaries.items()
+        },
         "popularity_omitted_repos": omitted,
     }
-    for cat in _present_categories(corpus):
-        combined["categories"][cat.value] = {
-            "summary": repo_summary(corpus, cat).as_dict()
-            | {"n_repos": sum(1 for r in corpus.repos if r.category is cat)},
-        }
 
     tmp = tempfile.mkdtemp(prefix=".report-", dir=parent)
     try:

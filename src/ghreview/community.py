@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import csv
 import os
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
-from .models import Repository, issue_reviewers, reviewer_comment_counts
+from .models import Repository, reviewer_postings
 
 __all__ = [
     "E1Edge",
@@ -53,19 +55,51 @@ class E2Edge:
 
 @dataclass(frozen=True)
 class IssueCommunityGraph:
+    """One repository's graph, held as its reviewer postings (the e1 edges).
+
+    Second-level edges are not stored.  The score, the isolated issues and
+    connectivity read one neighbour bitmask per issue, computed once from
+    the postings; ``e2_edges`` derives the edge list from them on each read.
+    """
+
     repo_id: str
     issue_nodes: tuple[str, ...]
     reviewer_nodes: tuple[str, ...]
     e1_edges: tuple[E1Edge, ...]
-    e2_edges: tuple[E2Edge, ...]
+
+    @cached_property
+    def _neighbours(self) -> list[int]:
+        """Per issue node, a bitmask over issue_nodes of the other issues sharing a reviewer with it."""
+        index = {issue: k for k, issue in enumerate(self.issue_nodes)}
+        reviewed = dict.fromkeys(self.reviewer_nodes, 0)
+        for edge in self.e1_edges:
+            reviewed[edge.reviewer] |= 1 << index[edge.issue]
+        masks = [0] * len(self.issue_nodes)
+        for edge in self.e1_edges:
+            masks[index[edge.issue]] |= reviewed[edge.reviewer]
+        return [mask & ~(1 << k) for k, mask in enumerate(masks)]
+
+    @property
+    def e2_edges(self) -> tuple[E2Edge, ...]:
+        """Issue pairs sharing reviewers, ordered by (issue_a, issue_b)."""
+        index = {issue: k for k, issue in enumerate(self.issue_nodes)}
+        issues_of: dict[str, list[int]] = {}
+        reviewers_of: list[list[str]] = [[] for _ in self.issue_nodes]
+        for edge in self.e1_edges:
+            issues_of.setdefault(edge.reviewer, []).append(index[edge.issue])
+            reviewers_of[index[edge.issue]].append(edge.reviewer)
+        edges: list[E2Edge] = []
+        for a, reviewers in enumerate(reviewers_of):
+            shared = Counter(b for login in reviewers for b in issues_of[login] if b > a)
+            edges.extend(
+                E2Edge(issue_a=self.issue_nodes[a], issue_b=self.issue_nodes[b], weight=shared[b])
+                for b in sorted(shared)
+            )
+        return tuple(edges)
 
     def isolated_issues(self) -> tuple[str, ...]:
         """Issues that share no reviewer with any other issue."""
-        linked = set()
-        for edge in self.e2_edges:
-            linked.add(edge.issue_a)
-            linked.add(edge.issue_b)
-        return tuple(i for i in self.issue_nodes if i not in linked)
+        return tuple(i for i, mask in zip(self.issue_nodes, self._neighbours) if not mask)
 
 
 @dataclass(frozen=True)
@@ -80,30 +114,17 @@ class ICSReport:
 
 
 def build_graph(repo: Repository) -> IssueCommunityGraph:
-    issues = repo.issues_by_time()
-    e1: list[E1Edge] = []
-    reviewers_of: dict[str, set[str]] = {}
-    for issue in issues:
-        counts = reviewer_comment_counts(issue)
-        reviewers_of[issue.id] = {user.login for user in counts}
-        for user, n in counts.items():
-            e1.append(E1Edge(reviewer=user.login, issue=issue.id, weight=n))
-
-    e2: list[E2Edge] = []
-    ids = sorted(reviewers_of)
-    for idx, a in enumerate(ids):
-        for b in ids[idx + 1 :]:
-            shared = reviewers_of[a] & reviewers_of[b]
-            if shared:
-                e2.append(E2Edge(issue_a=a, issue_b=b, weight=len(shared)))
-
-    reviewer_nodes = sorted({edge.reviewer for edge in e1})
+    postings = reviewer_postings(repo.issues)
+    e1 = [
+        E1Edge(reviewer=user.login, issue=issue, weight=n)
+        for user, reviewed in postings.items()
+        for issue, n in reviewed.items()
+    ]
     return IssueCommunityGraph(
         repo_id=repo.id,
-        issue_nodes=tuple(sorted(reviewers_of)),
-        reviewer_nodes=tuple(reviewer_nodes),
+        issue_nodes=tuple(sorted({issue.id for issue in repo.issues})),
+        reviewer_nodes=tuple(sorted({user.login for user in postings})),
         e1_edges=tuple(sorted(e1, key=lambda e: (e.reviewer, e.issue))),
-        e2_edges=tuple(sorted(e2, key=lambda e: (e.issue_a, e.issue_b))),
     )
 
 
@@ -115,7 +136,7 @@ def ics(graph: IssueCommunityGraph) -> ICSReport:
     above 1.0 are legal (dense overlap beats a path graph) and flagged.
     """
     n = len(graph.issue_nodes)
-    e2_count = len(graph.e2_edges)
+    e2_count = sum(mask.bit_count() for mask in graph._neighbours) // 2
     if n == 0:
         score: float | None = 0.0
         undefined = False
@@ -144,19 +165,14 @@ def is_connected(graph: IssueCommunityGraph) -> bool:
     n = len(graph.issue_nodes)
     if n <= 1:
         return True
-    adjacency: dict[str, set[str]] = {i: set() for i in graph.issue_nodes}
-    for edge in graph.e2_edges:
-        adjacency[edge.issue_a].add(edge.issue_b)
-        adjacency[edge.issue_b].add(edge.issue_a)
-    seen = {graph.issue_nodes[0]}
-    frontier = [graph.issue_nodes[0]]
+    seen = frontier = 1  # issue node 0
     while frontier:
-        node = frontier.pop()
-        for nxt in adjacency[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return len(seen) == n
+        low = frontier & -frontier
+        frontier ^= low
+        new = graph._neighbours[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier |= new
+    return seen == (1 << n) - 1
 
 
 def normalized_ics(graph: IssueCommunityGraph) -> float | None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 class Category(str, enum.Enum):
@@ -141,13 +142,18 @@ def issue_reviewers(issue: Issue) -> set[User]:
     return set(reviewer_comment_counts(issue))
 
 
-def repo_reviewers(repo: Repository) -> dict[str, User]:
-    """All reviewers of a repository, keyed by login."""
-    found: dict[str, User] = {}
-    for issue in repo.issues:
-        for user in issue_reviewers(issue):
-            found[user.login] = user
-    return found
+def reviewer_postings(issues: Iterable[Issue]) -> dict[User, dict[str, int]]:
+    """Each reviewer's comment count on every issue they reviewed.
+
+    Reviewers appear in first-review order and their issues in ``issues``
+    order.  A valid corpus has one User per login (``validate`` checks it),
+    so each key stands for one reviewer login.
+    """
+    postings: dict[User, dict[str, int]] = {}
+    for issue in issues:
+        for user, n in reviewer_comment_counts(issue).items():
+            postings.setdefault(user, {})[issue.id] = n
+    return postings
 
 
 def received_comment_count(issue: Issue) -> int:

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .models import Corpus, Repository, CATEGORY_ORDER
+from .models import Corpus, Repository
 from .temporal import (
     ALPHA_DEFAULT,
     Distribution,
@@ -366,11 +366,8 @@ def simulate_corpus(
     results: dict[tuple[str, float], tuple[SimResult, ...]] = {}
     if not corpus.repos:
         warnings.append("empty corpus: nothing to simulate")
-    categories = [c for c in CATEGORY_ORDER if any(r.category is c for r in corpus.repos)]
-    for category in categories:
-        repos = sorted(
-            (r for r in corpus.repos if r.category is category), key=lambda r: r.id
-        )
+    for category in corpus.categories():
+        repos = sorted(corpus.by_category(category), key=lambda r: r.id)
         for config in configs:
             ap = config.acceptance_probability
             sims = tuple(simulate(repo, config) for repo in repos)

@@ -40,11 +40,3 @@ def parse_duration(text: str | float) -> float:
     value = float(m.group(1))
     suffix = m.group(2)
     return value * (_SUFFIXES[suffix] if suffix else SECOND)
-
-
-def hours(seconds: float) -> float:
-    return seconds / HOUR
-
-
-def days(seconds: float) -> float:
-    return seconds / DAY

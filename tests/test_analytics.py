@@ -23,7 +23,16 @@ from ghreview.analytics import (
     repo_metrics,
     repo_summary,
 )
-from ghreview.models import Category, Comment, Corpus, Issue, Repository, User, issue_reviewers
+from ghreview.models import (
+    Category,
+    Comment,
+    Commit,
+    Corpus,
+    Issue,
+    Repository,
+    User,
+    issue_reviewers,
+)
 from ghreview.synthetic import random_corpus
 from ghreview.units import DAY
 
@@ -252,6 +261,58 @@ def test_summary_skips_absent_statistics():
         "commits_between_issues",
     ):
         assert as_dict[name] is None, name
+
+
+def _window_scan(repo: Repository) -> list[Commit]:
+    """Commits strictly inside some consecutive-opening window, window by window."""
+    times = [i.created_at for i in repo.issues_by_time()]
+    return [
+        c for c in repo.commits if any(lo < c.created_at < hi for lo, hi in zip(times, times[1:]))
+    ]
+
+
+def _window_edge_repo() -> Repository:
+    """Openings on days 10, 20 and 30; commits on, before, between and after them."""
+    owner = User(login="own", followers=2)
+    issues = [
+        Issue(id=f"edge/w#{k}", repo_id="edge/w", opener=owner, created_at=BASE + 10 * k * DAY)
+        for k in (1, 2, 3)
+    ]
+    commits = [
+        Commit(repo_id="edge/w", author=owner, created_at=BASE + day * DAY, lines_added=day)
+        for day in (5, 10, 15, 20, 25, 30, 35)
+    ]
+    return Repository(
+        id="edge/w", category=Category.RANDOM, created_at=float(BASE),
+        owner=owner, contributors=(owner,), issues=issues, commits=commits,
+    )
+
+
+def test_commits_between_issues_matches_window_scan():
+    repo = _window_edge_repo()
+    metrics = repo_metrics(repo)
+    # only the day-15 and day-25 commits lie strictly inside a window
+    assert [c.lines_added for c in _window_scan(repo)] == [15, 25]
+    assert metrics["commits_between_issues"] == 1.0
+    assert metrics["lines_added_per_issue"] == pytest.approx(40 / 3)
+    assert metrics["commits_before_first_issue"] == 1.0
+
+    for seed in range(30):
+        for r in random_corpus(seed, n_repos=3).repos:
+            if len(r.issues) >= 2:
+                want = len(_window_scan(r)) / (len(r.issues) - 1)
+                assert repo_metrics(r)["commits_between_issues"] == want, (seed, r.id)
+
+    # the correlation feature reads the same definition
+    corpus = Corpus(repos=[repo] + random_corpus(7, n_repos=8).repos)
+    report = correlate_features(corpus, target="issues", features=("commits_between_issues",))
+    (row,) = report.rows
+    repos = [r for r in corpus.repos if len(r.issues) >= 2]
+    want = pearson(
+        [len(_window_scan(r)) / (len(r.issues) - 1) for r in repos],
+        [float(len(r.issues)) for r in repos],
+    )
+    assert (row.r, row.p, row.n) == (want.r, want.p, want.n)
 
 
 def test_reference_time_is_latest_event(tiny_corpus):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +101,20 @@ def test_save_load_save_is_identity(seed, tmp_path_factory):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_failed_save_keeps_previous_archive(tiny_corpus, tmp_path, monkeypatch):
+    out = tmp_path / "archive.ndjson"
+    out.write_text("previous\n", encoding="utf-8")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_archive(tiny_corpus, out)
+    assert out.read_text(encoding="utf-8") == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["archive.ndjson"]
+
+
 # --- strict mode -----------------------------------------------------------
 
 
@@ -175,6 +190,32 @@ def test_unsupported_version_raises(tmp_path):
             '"lines_added":-3,"lines_removed":0}',
             ArchiveInvariantError,
             "line counts",
+        ),
+        (
+            '{"kind":"issue","id":"one/repo#9","repo":"one/repo","opener":"ann","created_at":NaN}',
+            ArchiveParseError,
+            "finite timestamp",
+        ),
+        (
+            '{"kind":"issue","id":"one/repo#9","repo":"one/repo","opener":"ann","created_at":Infinity}',
+            ArchiveParseError,
+            "finite timestamp",
+        ),
+        (
+            '{"kind":"issue","id":"one/repo#9","repo":"one/repo","opener":"ann","created_at":300,'
+            '"has_linked_code":"false"}',
+            ArchiveParseError,
+            "'has_linked_code' must be a bool",
+        ),
+        (
+            '{"kind":"comment","issue":"one/repo#1","author":"ann","created_at":250,"body":12345}',
+            ArchiveParseError,
+            "'body' must be a str",
+        ),
+        (
+            '{"kind":"repo","id":"x/y","category":"Random","created_at":1,"owner":"ann","contributors":"a"}',
+            ArchiveParseError,
+            "'contributors' must be a list",
         ),
     ],
 )

@@ -153,6 +153,58 @@ def test_zero_and_single_issue_edge_cases():
 # --- brute force over random graphs ---------------------------------------
 
 
+def _brute_force_edges(repo_id: str, reviewer_sets: list[dict[str, int]]) -> dict[tuple[str, str], int]:
+    """Every issue pair sharing reviewers, keyed by id pair (smaller id first)."""
+    ids = [f"{repo_id}#{k + 1}" for k in range(len(reviewer_sets))]
+    edges = {}
+    for a, b in combinations(range(len(reviewer_sets)), 2):
+        shared = set(reviewer_sets[a]) & set(reviewer_sets[b])
+        if shared:
+            edges[tuple(sorted((ids[a], ids[b])))] = len(shared)
+    return edges
+
+
+def _bfs_components(ids: list[str], edges) -> list[set[str]]:
+    adjacency = {i: set() for i in ids}
+    for a, b in edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    components, seen = [], set()
+    for start in ids:
+        if start in seen:
+            continue
+        component, frontier = {start}, [start]
+        while frontier:
+            for nxt in adjacency[frontier.pop()] - component:
+                component.add(nxt)
+                frontier.append(nxt)
+        seen |= component
+        components.append(component)
+    return components
+
+
+def _assert_matches_enumeration(repo_id: str, sets: list[dict[str, int]]) -> None:
+    n_issues = len(sets)
+    graph = build_graph(_repo_from_sets(repo_id, sets))
+    report = ics(graph)
+    expected_pairs = _brute_force_pairs(sets)
+    assert report.e2_count == expected_pairs == len(graph.e2_edges)
+    if n_issues == 0:
+        assert report.ics == 0.0
+    elif n_issues == 1:
+        assert report.ics is None
+    else:
+        assert report.ics == expected_pairs / (n_issues - 1)
+
+    edges = _brute_force_edges(repo_id, sets)
+    assert [(e.issue_a, e.issue_b) for e in graph.e2_edges] == sorted(edges)
+    assert {(e.issue_a, e.issue_b): e.weight for e in graph.e2_edges} == edges
+    components = _bfs_components(list(graph.issue_nodes), edges)
+    isolated = sorted(i for c in components if len(c) == 1 for i in c)
+    assert graph.isolated_issues() == report.isolated_issues == tuple(isolated)
+    assert is_connected(graph) == (len(components) <= 1)
+
+
 def test_random_graphs_match_pair_enumeration():
     pool = [f"rev{j}" for j in range(6)]
     for seed in range(100):
@@ -162,15 +214,18 @@ def test_random_graphs_match_pair_enumeration():
             {login: rng.randint(1, 3) for login in rng.sample(pool, rng.randint(0, len(pool)))}
             for _ in range(n_issues)
         ]
-        report = ics(build_graph(_repo_from_sets(f"x/r{seed}", sets)))
-        expected_pairs = _brute_force_pairs(sets)
-        assert report.e2_count == expected_pairs
-        if n_issues == 0:
-            assert report.ics == 0.0
-        elif n_issues == 1:
-            assert report.ics is None
-        else:
-            assert report.ics == expected_pairs / (n_issues - 1)
+        _assert_matches_enumeration(f"x/r{seed}", sets)
+    # hub-shaped graphs: one reviewer (a triage bot, say) on every issue makes
+    # the graph complete, the shape whose pair count grows quadratically
+    for n_issues in (2, 3, 17, 64, 150, 300):
+        rng = random.Random(n_issues)
+        sets = [
+            {"hub": rng.randint(1, 3)}
+            | {login: rng.randint(1, 3) for login in rng.sample(pool, rng.randint(0, 2))}
+            for _ in range(n_issues)
+        ]
+        _assert_matches_enumeration(f"x/hub{n_issues}", sets)
+        assert _brute_force_pairs(sets) == n_issues * (n_issues - 1) // 2
 
 
 def test_e1_weights_count_comments_exactly():
