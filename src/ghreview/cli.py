@@ -495,6 +495,13 @@ def _duration(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive_duration(text: str) -> float:
+    value = _duration(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"duration must be positive: {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, needs_out: bool = True) -> None:
     parser.add_argument("--in", dest="input", required=True, help="archive file to analyze")
     parser.add_argument("--lenient", action="store_true", help="drop bad records instead of failing")
@@ -516,7 +523,7 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
                         help="uniform fire-time jitter half-width (default off)")
     parser.add_argument("--generative", action="store_true",
                         help="resample post-assessment gaps instead of replaying them")
-    parser.add_argument("--window", type=_duration, default=parse_duration("30d"),
+    parser.add_argument("--window", type=_positive_duration, default=parse_duration("30d"),
                         help="timeline aggregation window")
 
 

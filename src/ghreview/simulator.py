@@ -13,16 +13,18 @@ so results are reproducible across processes and machines.
 
 from __future__ import annotations
 
-import bisect
 import json
+import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .models import Corpus, Repository
 from .temporal import (
     ALPHA_DEFAULT,
     Distribution,
+    RunningMedian,
     classify_gaps,
     distribution_of,
     gaps_from_times,
@@ -64,6 +66,10 @@ class SimConfig:
     max_events: int = 1_000_000
 
     def __post_init__(self) -> None:
+        # NaN fails no comparison below, and an infinite horizon never ends a run
+        for name in ("iap", "horizon", "alpha", "jitter"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.acceptance_probability <= 1.0:
             raise ValueError(
                 f"acceptance_probability must lie in [0, 1], got {self.acceptance_probability}"
@@ -104,38 +110,27 @@ class SimEvent:
 
 @dataclass(frozen=True)
 class SimResult:
+    """One repository's run under one config.  The event log is replayed when
+    first read: the RNG is keyed by seed and repo id, so the replay is exact."""
+
     repo_id: str
     config: SimConfig
     excluded: bool
     exclusion_reason: str | None
-    events: tuple[SimEvent, ...] = ()
     real_times: tuple[float, ...] = ()
     injected_times: tuple[float, ...] = ()
     before: Distribution | None = None
     after: Distribution | None = None
     injected_only: Distribution | None = None
     final_idm: float | None = None
+    _repo: Repository | None = field(default=None, repr=False, compare=False)
 
-
-class _RunningMedian:
-    """Sorted-insert median over the positive gaps seen so far."""
-
-    def __init__(self) -> None:
-        self._sorted: list[float] = []
-
-    def add_gap(self, duration: float) -> None:
-        if duration > 0:
-            bisect.insort(self._sorted, duration)
-
-    def value(self) -> float | None:
-        xs = self._sorted
-        n = len(xs)
-        if n == 0:
-            return None
-        mid = n // 2
-        if n % 2:
-            return xs[mid]
-        return 0.5 * (xs[mid - 1] + xs[mid])
+    @cached_property
+    def events(self) -> tuple[SimEvent, ...]:
+        sink: list[SimEvent] = []
+        if self._repo is not None:
+            _notify(self._repo, self.config, sink)
+        return tuple(sink)
 
 
 def _generative_times(
@@ -156,51 +151,43 @@ def _generative_times(
     return out
 
 
-def simulate(repo: Repository, config: SimConfig) -> SimResult:
-    """Replay one repository under the notification mechanism.
+def _notify(
+    repo: Repository, config: SimConfig, sink: list[SimEvent] | None = None
+) -> str | tuple[list[float], list[float], float]:
+    """Run the notifier over one repository, appending its events to ``sink`` if given.
 
-    Repositories with fewer than min_iap_issues issues inside the IAP are
-    returned excluded rather than failing, mirroring the corpus-cleaning
-    rule that sparse early activity is noise.
+    Returns the exclusion reason, or the real and injected times and the final median.
     """
     iap_end = repo.created_at + config.iap
     horizon_end = repo.created_at + config.horizon
     all_real = [i.created_at for i in repo.issues_by_time() if i.created_at <= horizon_end]
     iap_times = [t for t in all_real if t <= iap_end]
     if len(iap_times) < config.min_iap_issues:
-        return SimResult(
-            repo_id=repo.id,
-            config=config,
-            excluded=True,
-            exclusion_reason=(
-                f"{len(iap_times)} issues inside the assessment period, "
-                f"need {config.min_iap_issues}"
-            ),
+        return (
+            f"{len(iap_times)} issues inside the assessment period, "
+            f"need {config.min_iap_issues}"
         )
 
     rng = random.Random(f"{config.seed}:{repo.id}")
-    median = _RunningMedian()
-    events: list[SimEvent] = []
+    median = RunningMedian()
+    n_events = 0
     prev_time: float | None = None
 
     def record_issue(time: float, kind: EventKind) -> None:
-        nonlocal prev_time
+        nonlocal prev_time, n_events
         if prev_time is not None:
             median.add_gap(time - prev_time)
         prev_time = time
-        events.append(SimEvent(time=time, kind=kind, idm_at_event=median.value()))
+        n_events += 1
+        if sink is not None:
+            sink.append(SimEvent(time=time, kind=kind, idm_at_event=median.value()))
 
     for t in iap_times:
         record_issue(t, EventKind.REAL_ISSUE)
 
     idm_current = median.value()
     if idm_current is None:
-        return SimResult(
-            repo_id=repo.id,
-            config=config,
-            excluded=True,
-            exclusion_reason="median undefined: no positive gap inside the assessment period",
-        )
+        return "median undefined: no positive gap inside the assessment period"
 
     if config.generative:
         gen_rng = random.Random(f"{config.seed}:{repo.id}:gen")
@@ -221,7 +208,7 @@ def simulate(repo: Repository, config: SimConfig) -> SimResult:
     assert prev_time is not None
     next_fire = arm(prev_time)
     while True:
-        if len(events) > config.max_events:
+        if n_events > config.max_events:
             raise SimulationOverrunError(
                 f"{repo.id}: event count exceeded {config.max_events}"
             )
@@ -235,32 +222,32 @@ def simulate(repo: Repository, config: SimConfig) -> SimResult:
             continue
         if next_fire > horizon_end:
             break
-        events.append(
-            SimEvent(time=next_fire, kind=EventKind.NOTIFICATION_FIRED, idm_at_event=idm_current)
-        )
-        if rng.random() < config.acceptance_probability:
-            events.append(
-                SimEvent(
-                    time=next_fire,
-                    kind=EventKind.NOTIFICATION_ACCEPTED,
-                    idm_at_event=idm_current,
-                )
-            )
+        accepted = rng.random() < config.acceptance_probability
+        n_events += 2
+        if sink is not None:
+            outcome = EventKind.NOTIFICATION_ACCEPTED if accepted else EventKind.NOTIFICATION_IGNORED
+            sink.append(SimEvent(next_fire, EventKind.NOTIFICATION_FIRED, idm_current))
+            sink.append(SimEvent(next_fire, outcome, idm_current))
+        if accepted:
             injected.append(next_fire)
             record_issue(next_fire, EventKind.INJECTED_ISSUE)
             idm_current = median.value() or idm_current
-            next_fire = arm(next_fire)
-        else:
-            events.append(
-                SimEvent(
-                    time=next_fire,
-                    kind=EventKind.NOTIFICATION_IGNORED,
-                    idm_at_event=idm_current,
-                )
-            )
-            next_fire = arm(next_fire)
+        next_fire = arm(next_fire)
 
-    real_times = iap_times + post_real
+    return iap_times + post_real, injected, idm_current
+
+
+def simulate(repo: Repository, config: SimConfig) -> SimResult:
+    """Replay one repository under the notification mechanism.
+
+    Repositories with fewer than min_iap_issues issues inside the IAP are
+    returned excluded rather than failing, mirroring the corpus-cleaning
+    rule that sparse early activity is noise.
+    """
+    run = _notify(repo, config)
+    if isinstance(run, str):
+        return SimResult(repo_id=repo.id, config=config, excluded=True, exclusion_reason=run)
+    real_times, injected, final_idm = run
     merged = sorted(real_times + injected)
     _, before = classify_gaps(gaps_from_times(real_times), alpha=config.alpha)
     merged_labels, after = classify_gaps(gaps_from_times(merged), alpha=config.alpha)
@@ -276,13 +263,13 @@ def simulate(repo: Repository, config: SimConfig) -> SimResult:
         config=config,
         excluded=False,
         exclusion_reason=None,
-        events=tuple(events),
         real_times=tuple(real_times),
         injected_times=tuple(injected),
         before=before,
         after=after,
         injected_only=injected_only,
-        final_idm=idm_current,
+        final_idm=final_idm,
+        _repo=repo,
     )
 
 

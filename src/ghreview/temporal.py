@@ -12,6 +12,7 @@ activity cannot degenerate it.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import statistics
 from dataclasses import dataclass
@@ -86,6 +87,27 @@ def median_positive(durations: Sequence[float]) -> float:
     return statistics.median(positive)
 
 
+class RunningMedian:
+    """Median of the positive gaps seen so far, kept by sorted insertion."""
+
+    def __init__(self) -> None:
+        self._sorted: list[float] = []
+
+    def add_gap(self, duration: float) -> None:
+        if duration > 0:
+            bisect.insort(self._sorted, duration)
+
+    def value(self) -> float | None:
+        xs = self._sorted
+        n = len(xs)
+        if n == 0:
+            return None
+        mid = n // 2
+        if n % 2:
+            return xs[mid]
+        return 0.5 * (xs[mid - 1] + xs[mid])
+
+
 def idm(gaps: GapSeries | Sequence[float]) -> float:
     """The median inter-issue distance of a series, in seconds."""
     durations = gaps.durations() if isinstance(gaps, GapSeries) else gaps
@@ -129,6 +151,29 @@ class TimelinePoint:
     n_gaps: int
 
 
+def _window_holding(end: float, t0: float, window: float, lo: int) -> int:
+    """First window index k >= lo whose close, t0 + (k+1)*window, lies beyond end.
+
+    Closes are compared as computed, so rounding decides an endpoint on a
+    boundary exactly as a walk over every window would; the quotient only
+    seeds a search whose cost is logarithmic in the windows skipped.
+    """
+
+    def closes_after(k: int) -> bool:
+        return end < t0 + (k + 1) * window
+
+    hi, step = max(lo, int((end - t0) // window)), 1
+    while not closes_after(hi):
+        lo, hi, step = hi + 1, hi + step, 2 * step
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if closes_after(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
 def timeline_from_times(
     times: Sequence[float], window: float, alpha: float = ALPHA_DEFAULT
 ) -> list[TimelinePoint]:
@@ -137,35 +182,30 @@ def timeline_from_times(
     Windows tile the series from the first opening.  A gap belongs to the
     window holding its endpoint; its label is judged against the median of
     every gap ended by that window's close, matching the way the notifier
-    re-estimates its waiting time as data accrues.
+    re-estimates its waiting time as data accrues.  Empty windows are
+    skipped, so the cost follows the number of gaps, not of windows.
     """
+    if not window > 0:
+        raise ValueError(f"window must be positive, got {window}")
     ordered = sorted(times)
-    if len(ordered) < 2 or window <= 0:
-        return []
-    t0 = ordered[0]
-    # (end_time, duration) per gap, in time order
+    t0 = ordered[0] if ordered else 0.0
     gap_ends = [(b, b - a) for a, b in zip(ordered, ordered[1:])]
-    last_index = int((gap_ends[-1][0] - t0) // window)
-
+    median = RunningMedian()
     points: list[TimelinePoint] = []
-    cumulative_positive: list[float] = []
-    i = 0
-    for k in range(last_index + 1):
+    i = k = 0
+    while i < len(gap_ends):
+        k = _window_holding(gap_ends[i][0], t0, window, k)
         window_end = t0 + (k + 1) * window
         in_window: list[float] = []
         while i < len(gap_ends) and gap_ends[i][0] < window_end:
             in_window.append(gap_ends[i][1])
-            if gap_ends[i][1] > 0:
-                cumulative_positive.append(gap_ends[i][1])
+            median.add_gap(gap_ends[i][1])
             i += 1
-        if not in_window:
-            continue
-        if cumulative_positive:
-            median = statistics.median(cumulative_positive)
-            labels = [classify_duration(d, median, alpha) for d in in_window]
+        m = median.value()
+        if m is None:
+            regular = 0  # zero-duration bursts only, all Dense
         else:
-            labels = [Label.DENSE] * len(in_window)  # zero-duration bursts only
-        regular = sum(1 for l in labels if l is Label.REGULAR)
+            regular = sum(1 for d in in_window if classify_duration(d, m, alpha) is Label.REGULAR)
         points.append(
             TimelinePoint(
                 window_start=t0 + k * window,
@@ -173,8 +213,6 @@ def timeline_from_times(
                 n_gaps=len(in_window),
             )
         )
-    # the endpoint of the last gap sits exactly on a window boundary when
-    # (t_last - t0) is a multiple of window; the loop above already covers it
     return points
 
 

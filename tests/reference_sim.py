@@ -127,3 +127,30 @@ def sort_median_positive(durations: list[float]) -> float:
     if n % 2 == 1:
         return positive[n // 2]
     return (positive[n // 2 - 1] + positive[n // 2]) / 2.0
+
+
+def reference_timeline(
+    times: list[float], window: float, alpha: float
+) -> list[tuple[float, float, int]]:
+    """Walk every window from the first opening: a window holds the gaps
+    ended before its close and not before the previous close, each banded
+    against the sort-based median of every positive gap ended before that
+    close. Returns (window_start, regular_pct, n_gaps) per non-empty window."""
+    ordered = sorted(times)
+    ends = [(b, b - a) for a, b in zip(ordered, ordered[1:])]
+    points = []
+    done = 0
+    k = 0
+    while done < len(ends):
+        close = ordered[0] + (k + 1) * window
+        ended = [d for end, d in ends if end < close]
+        in_window = ended[done:]
+        if in_window:
+            regular = 0
+            if any(d > 0 for d in ended):
+                median = sort_median_positive(ended)
+                regular = sum(1 for d in in_window if d != 0 and median - alpha <= d <= median + alpha)
+            points.append((ordered[0] + k * window, 100.0 * regular / len(in_window), len(in_window)))
+        done = len(ended)
+        k += 1
+    return points

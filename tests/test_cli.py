@@ -55,6 +55,15 @@ def test_malformed_duration_is_a_usage_error(tiny_path, out_dir):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "report"])
+@pytest.mark.parametrize("window", ["0s", "0"])
+def test_non_positive_window_is_a_usage_error(tiny_path, out_dir, command, window):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--in", tiny_path, "--out", out_dir, "--window", window])
+    assert err.value.code == 2
+    assert not os.path.exists(out_dir)
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--version"])

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
+from ghreview import simulator
 from ghreview.models import Category
 from ghreview.simulator import (
     EventKind,
     SimConfig,
+    SimEvent,
     SimulationOverrunError,
     event_log_lines,
     simulate,
@@ -40,6 +43,13 @@ def _events(result):
         {"acceptance_probability": 0.5, "min_iap_issues": 1},
         {"acceptance_probability": 0.5, "jitter": -1.0},
         {"acceptance_probability": 0.5, "alpha": 0.0},
+        {"acceptance_probability": 0.5, "iap": math.nan},
+        {"acceptance_probability": 0.5, "horizon": math.nan},
+        {"acceptance_probability": 0.5, "horizon": math.inf},
+        {"acceptance_probability": 0.5, "alpha": math.nan},
+        {"acceptance_probability": 0.5, "alpha": math.inf},
+        {"acceptance_probability": 0.5, "jitter": math.nan},
+        {"acceptance_probability": 0.5, "jitter": math.inf},
     ],
 )
 def test_config_validation(kwargs):
@@ -232,6 +242,15 @@ def test_overrun_guard():
         simulate(repo, SimConfig(acceptance_probability=1.0, max_events=50))
 
 
+def test_overrun_guard_counts_every_event():
+    repo = periodic_repo("x/cap", n_issues=182)
+    config = SimConfig(acceptance_probability=0.5, seed=5)
+    n = len(simulate(repo, config).events)
+    assert not simulate(repo, replace(config, max_events=n)).excluded
+    with pytest.raises(SimulationOverrunError):
+        simulate(repo, replace(config, max_events=n - 1))
+
+
 # --- extensions (outside the replicated design) ----------------------------
 
 
@@ -341,3 +360,20 @@ def test_timeline_rows_cover_window_indexes():
     assert indexes == sorted(indexes)
     assert all(row.n_repos == 1 for row in random_rows)
     assert all(0.0 <= row.after_regular_pct <= 100.0 for row in random_rows)
+
+
+def test_simulate_corpus_builds_the_event_log_only_when_read(monkeypatch):
+    built = []
+
+    def counting_event(*args, **kwargs):
+        built.append(1)
+        return SimEvent(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "SimEvent", counting_event)
+    corpus = _three_category_corpus()
+    config = SimConfig(acceptance_probability=0.5, seed=3)
+    table = simulate_corpus(corpus, [config])
+    assert built == []
+    result = table.results[("ROS", 0.5)][0]
+    assert _events(result) and len(built) == len(result.events)
+    assert _events(result) == _events(simulate(corpus.repos[1], config))

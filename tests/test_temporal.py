@@ -21,7 +21,7 @@ from ghreview.temporal import (
     timeline_from_times,
 )
 from ghreview.units import DAY, HOUR
-from reference_sim import reference_distribution, sort_median_positive
+from reference_sim import reference_distribution, reference_timeline, sort_median_positive
 
 BASE = 1_600_000_000
 
@@ -202,3 +202,60 @@ def test_timeline_counts_every_gap_once():
         times = sorted(rng.uniform(0, 400 * DAY) for _ in range(rng.randint(2, 60)))
         points = timeline_from_times(times, 30 * DAY)
         assert sum(p.n_gaps for p in points) == len(times) - 1
+
+
+def _points(times, window, alpha=ALPHA_DEFAULT):
+    return [(p.window_start, p.regular_pct, p.n_gaps) for p in timeline_from_times(times, window, alpha)]
+
+
+def test_timeline_matches_window_walk_oracle():
+    rng = random.Random(11)
+    for _ in range(150):
+        times = [rng.uniform(0, 400 * DAY) for _ in range(rng.randint(0, 60))]
+        window = rng.choice([DAY, 7 * DAY, 30 * DAY, rng.uniform(0.5 * DAY, 60 * DAY)])
+        alpha = rng.choice([ALPHA_DEFAULT, HOUR, 3 * DAY])
+        assert _points(times, window, alpha) == reference_timeline(times, window, alpha)
+
+
+def test_timeline_oracle_on_zero_gap_ties():
+    rng = random.Random(12)
+    for _ in range(150):
+        # few distinct days, so bursts of equal openings are common, some
+        # of them before any positive gap exists
+        times = [BASE + rng.randint(0, 12) * DAY for _ in range(rng.randint(2, 40))]
+        window = rng.choice([DAY, 2 * DAY, 5 * DAY])
+        assert _points(times, window) == reference_timeline(times, window, ALPHA_DEFAULT)
+
+
+def test_timeline_oracle_on_window_boundaries():
+    rng = random.Random(13)
+    for _ in range(150):
+        # every opening is a whole number of windows from the first, so
+        # every gap ends exactly on a window close
+        window = rng.choice([1.0, 3.0, DAY, 7 * DAY])
+        times = [BASE + rng.randint(0, 30) * window for _ in range(rng.randint(2, 40))]
+        alpha = rng.choice([0.0, ALPHA_DEFAULT])
+        assert _points(times, window, alpha) == reference_timeline(times, window, alpha)
+
+
+def test_timeline_cost_follows_gaps_not_windows():
+    # the last gap ends about 10**12 one-second windows after the first opening
+    assert _points([0.0, 1.0, 2.0, 1e12], 1.0) == [(1.0, 100.0, 1), (2.0, 100.0, 1), (1e12, 0.0, 1)]
+
+
+def test_timeline_oracle_below_float_resolution():
+    # near 1.6e9 s adjacent floats are 2**-22 s apart, so window closes
+    # computed from sub-resolution windows round onto a staircase, and a
+    # close can round back onto the gap end it should lie beyond
+    assert _points([1.6e9, 1.6e9], 1e-7) == [(1.6e9, 0.0, 1)]
+    rng = random.Random(14)
+    for _ in range(60):
+        times = [1.6e9 + rng.randint(0, 40) * 2.0**-22 for _ in range(rng.randint(2, 30))]
+        window = rng.choice([1e-8, 1e-7, 3e-7])
+        assert _points(times, window, 0.0) == reference_timeline(times, window, 0.0)
+
+
+@pytest.mark.parametrize("window", [0.0, -DAY, float("nan")])
+def test_timeline_rejects_non_positive_window(window):
+    with pytest.raises(ValueError):
+        timeline_from_times([0.0, DAY], window)
