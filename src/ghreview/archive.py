@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -420,7 +421,6 @@ def save_archive(corpus: Corpus, path) -> None:
     The file is written beside ``path`` under a temporary name and renamed
     over it, so a failed save leaves any previous archive intact.
     """
-    path = Path(path)
     lines = [_dump({"kind": "meta", "version": ARCHIVE_VERSION, **corpus.meta})]
     for login in sorted(corpus.users):
         user = corpus.users[login]
@@ -480,9 +480,23 @@ def save_archive(corpus: Corpus, path) -> None:
             if commit.issue_id is not None:
                 rec["issue"] = commit.issue_id
             lines.append(_dump(rec))
+    with _atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@contextmanager
+def _atomic_write(path):
+    """Yield a text file beside ``path`` that is renamed over it on success.
+
+    The temporary name carries the process id, so writers sharing a
+    directory do not clobber each other's file.  On any failure, interrupts
+    included, the temporary file is removed and ``path`` is left untouched.
+    """
+    path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -89,12 +89,16 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: str, args: argparse.Namespace, inputs: list[str]) -> None:
+def _write_manifest(
+    out_dir: str, args: argparse.Namespace, inputs: list[str], counters: dict | None = None
+) -> None:
     config = {
         key: value
         for key, value in sorted(vars(args).items())
         if key != "func" and not key.startswith("_")
     }
+    if config.get("token") is not None:
+        config["token"] = "<redacted>"  # the manifest is shared; credentials are not
     manifest = {
         "tool": "ghreview",
         "version": __version__,
@@ -106,6 +110,8 @@ def _write_manifest(out_dir: str, args: argparse.Namespace, inputs: list[str]) -
         ],
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
+    if counters is not None:
+        manifest["counters"] = counters
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -258,7 +264,10 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
         corpus.repos = [r for r in corpus.repos if r.id in keep]
     save_archive(corpus, args.out_archive)
     out_dir = os.path.dirname(os.path.abspath(args.out_archive)) or "."
-    _write_manifest(out_dir, args, [])
+    _write_manifest(
+        out_dir, args, [],
+        counters={"requests": client.requests, "not_modified": client.not_modified},
+    )
     print(f"fetched {len(corpus.repos)} repositories -> {args.out_archive}")
     return 0
 

@@ -2,9 +2,14 @@
 
 Design notes, all load-bearing for the tests:
 
-- Every response with an ETag is cached (memory plus optional JSON file),
-  and conditional requests that come back 304 are served from cache
-  without spending rate budget.
+- Every response with an ETag is cached in memory, and conditional
+  requests that come back 304 are served from cache without spending rate
+  budget.  With a cache directory the cache is also written to
+  ``etag_cache.json``, once per repository (and once per topic search),
+  when that fetch ends or fails; a run whose every response was a 304
+  writes nothing.  Exceptions and interrupts still write every page
+  fetched so far; a process killed outright loses the pages of the
+  repository in flight, which the next run fetches again.
 - One rate budget object is shared by all workers under a lock; a 403
   with zero remaining raises immediately with the advertised reset time,
   and the client refuses to issue further requests until that time.
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 
 import requests
 
-from .archive import _parse_timestamp  # shared ISO/epoch timestamp reader
+from .archive import _atomic_write, _parse_timestamp
 from .models import Category, Comment, Commit, Corpus, Issue, Repository, User
 
 __all__ = [
@@ -109,34 +114,70 @@ class _NotFound(Exception):
     pass
 
 
+def _is_cache_entry(entry) -> bool:
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("etag"), str)
+        and "body" in entry
+        and "next" in entry
+        and (entry["next"] is None or isinstance(entry["next"], str))
+    )
+
+
+def _load_cache(path: str) -> dict[str, dict]:
+    """Read an ETag cache file; a malformed one raises FetchError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cache = json.load(fh)
+    except ValueError as exc:
+        raise FetchError(f"ETag cache {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cache, dict):
+        raise FetchError(f"ETag cache {path} must hold a JSON object")
+    for key, entry in cache.items():
+        if not _is_cache_entry(entry):
+            raise FetchError(
+                f"ETag cache {path}: entry {key} needs a string 'etag' and 'body'/'next' keys"
+            )
+    return cache
+
+
 class GitHubClient:
-    """Session wrapper owning the ETag cache and the shared rate budget."""
+    """Session wrapper owning the ETag cache and the shared rate budget.
+
+    ``requests`` counts the responses received and ``not_modified`` the 304s
+    among them.
+    """
 
     def __init__(self, plan: FetchPlan):
         self.plan = plan
         self.session = requests.Session()
         self.budget = RateBudget()
+        self.requests = 0
+        self.not_modified = 0
         self._lock = threading.Lock()
         self._cache: dict[str, dict] = {}
+        self._dirty = False
         self._cache_path = None
         if plan.cache_dir:
             os.makedirs(plan.cache_dir, exist_ok=True)
             self._cache_path = os.path.join(plan.cache_dir, "etag_cache.json")
             if os.path.exists(self._cache_path):
-                with open(self._cache_path, "r", encoding="utf-8") as fh:
-                    self._cache = json.load(fh)
+                self._cache = _load_cache(self._cache_path)
         token = plan.token or os.environ.get(TOKEN_ENV_VAR)
         self._headers = {"Accept": "application/vnd.github+json"}
         if token:
             self._headers["Authorization"] = f"Bearer {token}"
 
-    def _persist_cache(self) -> None:
-        if self._cache_path is None:
-            return
-        tmp = self._cache_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self._cache, fh)
-        os.replace(tmp, self._cache_path)
+    def persist_cache(self) -> None:
+        """Write the cache file if any response was stored since the last write."""
+        # Under the lock: other threads must neither change the dict mid-dump
+        # nor write this process's temporary file at the same time.
+        with self._lock:
+            if self._cache_path is None or not self._dirty:
+                return
+            with _atomic_write(self._cache_path) as fh:
+                json.dump(self._cache, fh)
+            self._dirty = False
 
     @staticmethod
     def _key(url: str) -> str:
@@ -154,9 +195,11 @@ class GitHubClient:
             headers["If-None-Match"] = cached["etag"]
         response = self.session.get(url, headers=headers, timeout=30)
         with self._lock:
+            self.requests += 1
             self.budget.update(response.headers)
             if response.status_code == 304 and cached is not None:
-                return cached["body"], cached.get("next"), True
+                self.not_modified += 1
+                return cached["body"], cached["next"], True
             if response.status_code == 403 and self.budget.remaining == 0:
                 raise BudgetExhaustedError(self.budget.reset_at)
         if response.status_code == 404:
@@ -172,7 +215,7 @@ class GitHubClient:
         if etag:
             with self._lock:
                 self._cache[key] = {"etag": etag, "body": payload, "next": next_url}
-                self._persist_cache()
+                self._dirty = True
         return payload, next_url, False
 
     def paged(self, url: str) -> list:
@@ -220,9 +263,17 @@ def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = N
     """Fetch one repository's full event tree.
 
     Returns the repository plus every user it references, with follower
-    counts resolved.  Raises UnknownRepoError on 404.
+    counts resolved.  Raises UnknownRepoError on 404.  The ETag cache is
+    written when the fetch ends, whether it succeeded or not.
     """
     client = client or GitHubClient(plan)
+    try:
+        return _fetch_repository(slug, plan, client)
+    finally:
+        client.persist_cache()
+
+
+def _fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient) -> tuple[Repository, dict[str, User]]:
     base = plan.base_url
     try:
         payload, _, _ = client.get(f"{base}/repos/{slug}")
@@ -348,12 +399,15 @@ def search_by_topic(topic: str, plan: FetchPlan, client: GitHubClient | None = N
     slugs: list[str] = []
     pages = 0
     next_url: str | None = url
-    while next_url is not None and pages < plan.max_pages:
-        payload, next_url, _ = client.get(next_url)
-        if not isinstance(payload, dict) or "items" not in payload:
-            raise PayloadDecodeError(url, "expected a search result object")
-        slugs.extend(item["full_name"] for item in payload["items"])
-        pages += 1
+    try:
+        while next_url is not None and pages < plan.max_pages:
+            payload, next_url, _ = client.get(next_url)
+            if not isinstance(payload, dict) or "items" not in payload:
+                raise PayloadDecodeError(url, "expected a search result object")
+            slugs.extend(item["full_name"] for item in payload["items"])
+            pages += 1
+    finally:
+        client.persist_cache()
     return slugs
 
 

@@ -319,6 +319,73 @@ def test_fetch_sample_is_seeded(tmp_path):
     assert len(kept[0]) == 1
 
 
+def _fetch_args(base_url, archive, *extra) -> list[str]:
+    os.makedirs(os.path.dirname(archive), exist_ok=True)
+    return ["fetch", "--repo", TOOLS, "--repo", WIDGETS, "--base-url", base_url,
+            "--out-archive", str(archive), *extra]
+
+
+def _manifest(directory) -> dict:
+    with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_fetch_manifest_redacts_the_token(tmp_path):
+    with fixture_server() as (_, base_url):
+        assert main(_fetch_args(base_url, tmp_path / "a" / "out.ndjson",
+                                "--token", "SECRET123")) == 0
+        assert main(_fetch_args(base_url, tmp_path / "b" / "out.ndjson")) == 0
+    assert "SECRET123" not in (tmp_path / "a" / "manifest.json").read_text(encoding="utf-8")
+    assert _manifest(tmp_path / "a")["config"]["token"] == "<redacted>"
+    assert _manifest(tmp_path / "b")["config"]["token"] is None
+
+
+def test_fetch_manifest_counts_requests_and_revalidations(tmp_path):
+    cache = str(tmp_path / "cache")
+    with fixture_server() as (state, base_url):
+        for attempt in ("cold", "warm"):
+            before = (state.requests, state.not_modified)
+            assert main(_fetch_args(base_url, tmp_path / attempt / "out.ndjson",
+                                    "--cache-dir", cache)) == 0
+            counters = _manifest(tmp_path / attempt)["counters"]
+            assert counters == {
+                "requests": state.requests - before[0],
+                "not_modified": state.not_modified - before[1],
+            }
+    assert 0 < _manifest(tmp_path / "cold")["counters"]["not_modified"] < counters["requests"]
+    assert counters["not_modified"] == counters["requests"]  # warm: all 304s
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param('{"k": {"etag', id="truncated"),
+        pytest.param("[]", id="not-an-object"),
+        pytest.param('{"k": []}', id="entry-not-an-object"),
+        pytest.param('{"k": {"body": [], "next": null}}', id="no-etag"),
+        pytest.param('{"k": {"etag": 7, "body": [], "next": null}}', id="etag-not-a-string"),
+        pytest.param('{"k": {"etag": "e", "next": null}}', id="no-body"),
+        pytest.param('{"k": {"etag": "e", "body": []}}', id="no-next"),
+        pytest.param('{"k": {"etag": "e", "body": [], "next": 3}}', id="next-not-a-url"),
+        pytest.param(b'{"k": "\xff"}', id="not-utf8"),
+    ],
+)
+def test_fetch_rejects_malformed_cache_naming_it(capsys, tmp_path, content):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "etag_cache.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    # the cache is read before any request, so the base URL is never contacted
+    rc = main(_fetch_args("http://127.0.0.1:9", tmp_path / "out.ndjson", "--cache-dir", str(cache)))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
 # --- report ----------------------------------------------------------------
 
 

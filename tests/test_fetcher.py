@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import pytest
@@ -208,6 +212,76 @@ def test_revalidation_does_not_spend_budget(tmp_path):
     assert repo_cold == repo_warm
 
 
+def _count_cache_writes(monkeypatch, cache_dir) -> list:
+    """Record every os.replace onto the cache file; returns the growing log."""
+    cache_path = os.path.join(str(cache_dir), "etag_cache.json")
+    writes = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if os.fspath(dst) == cache_path:
+            writes.append(dst)
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return writes
+
+
+def test_cache_is_written_once_per_repository(tmp_path, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    writes = _count_cache_writes(monkeypatch, cache_dir)
+    with fixture_server() as (state, base_url):
+        plan = _plan(base_url, cache_dir, targets=(TOOLS, WIDGETS))
+        fetch_corpus(plan)
+        assert 1 <= len(writes) <= len(plan.targets)
+        writes.clear()
+        cold_full = state.full_responses
+        fetch_corpus(plan)  # every response is a 304: nothing new to write
+        assert state.full_responses == cold_full
+    assert writes == []
+
+
+def test_shared_client_counts_and_persists_under_contention(tmp_path):
+    cache_dir = tmp_path / "cache"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with fixture_server() as (state, base_url):
+            client = GitHubClient(_plan(base_url, cache_dir))
+            urls = [
+                f"{base_url}/repos/{WIDGETS}/issues/{n}/comments?per_page={PAGE}"
+                for n in range(1, WIDGETS_ISSUES + 1)
+            ] * 2
+            with ThreadPoolExecutor(max_workers=2 * (os.cpu_count() or 1) + 2) as pool:
+                futures = [pool.submit(client.get, url) for url in urls]
+                futures += [pool.submit(client.persist_cache) for _ in range(40)]
+                for future in futures:
+                    future.result(timeout=60)
+            client.persist_cache()
+            assert client.requests == state.requests == len(urls)
+            assert client.not_modified == state.not_modified
+    finally:
+        sys.setswitchinterval(interval)
+    cache = json.loads((cache_dir / "etag_cache.json").read_text(encoding="utf-8"))
+    assert len(cache) == WIDGETS_ISSUES
+
+
+def test_failed_cache_write_keeps_previous_cache(tmp_path, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    with fixture_server() as (_, base_url):
+        fetch_repository(TOOLS, _plan(base_url, cache_dir))
+        previous = (cache_dir / "etag_cache.json").read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            fetch_repository(WIDGETS, _plan(base_url, cache_dir))
+    assert (cache_dir / "etag_cache.json").read_bytes() == previous
+    assert [p.name for p in cache_dir.iterdir()] == ["etag_cache.json"]
+
+
 # --- rate budget -----------------------------------------------------------
 
 
@@ -257,6 +331,50 @@ def test_resumed_fetch_converges_to_uninterrupted_result(tmp_path):
     assert resumed.repos == clean.repos
     assert resumed.users == clean.users
     assert "snapshot_at" in resumed.meta
+
+
+@pytest.mark.parametrize(
+    "fail_after",
+    [
+        pytest.param(2, id="repo-pages"),
+        pytest.param(10, id="comment-pages"),
+        pytest.param(TOOLS_REQUESTS - len(LOGIN_POOL) + 5, id="user-pool"),
+        pytest.param(TOOLS_REQUESTS + 30, id="second-repo"),
+    ],
+)
+def test_failed_fetch_keeps_every_page_it_fetched(tmp_path, fail_after):
+    # an uninterrupted run's full responses; the second repo revalidates the users
+    clean_full = TOOLS_REQUESTS + WIDGETS_REQUESTS - len(LOGIN_POOL)
+    with fixture_server(fail_after=fail_after) as (state, base_url):
+        plan = _plan(base_url, tmp_path / "cache", targets=(TOOLS, WIDGETS))
+        with pytest.raises(FetchError):
+            fetch_corpus(plan)
+        assert state.full_responses == fail_after
+        state.fail_after = None
+        fetch_corpus(plan)  # fresh client reads what the failed one wrote
+        assert state.full_responses == clean_full
+
+
+def test_interrupted_fetch_keeps_every_page_it_fetched(tmp_path):
+    with fixture_server() as (state, base_url):
+        plan = _plan(base_url, tmp_path / "cache", targets=(WIDGETS,))
+        client = GitHubClient(plan)
+        real_get = client.session.get
+        sent = []
+
+        def interrupted_get(url, **kwargs):
+            if len(sent) == 20:
+                raise KeyboardInterrupt
+            sent.append(url)
+            return real_get(url, **kwargs)
+
+        client.session.get = interrupted_get
+        with pytest.raises(KeyboardInterrupt):
+            fetch_corpus(plan, client)
+        assert state.full_responses == 20
+        fetch_corpus(plan)
+        assert state.full_responses == WIDGETS_REQUESTS
+        assert state.not_modified == 20
 
 
 # --- search ----------------------------------------------------------------
