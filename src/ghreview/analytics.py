@@ -9,18 +9,12 @@ opener-popularity versus received-comments series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
-from .community import build_graph, ics
-from .models import (
-    Category,
-    Corpus,
-    Repository,
-    User,
-    received_comment_count,
-    reviewer_postings,
-)
+from .community import ICSReport, build_graph, ics
+from .models import Category, Corpus, Issue, Repository, User, reviewer_postings
 from .sentiment import repo_sentiment
 from .units import DAY, HOUR
 
@@ -29,6 +23,9 @@ __all__ = [
     "DegenerateSeriesError",
     "PearsonResult",
     "pearson",
+    "RepoIndex",
+    "CorpusIndex",
+    "corpus_index",
     "RepoSummary",
     "SUMMARY_FIELDS",
     "repo_summary",
@@ -80,25 +77,19 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (  # the even step, then the odd one
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            if abs(d) < fpmin:
+                d = fpmin
+            c = 1.0 + aa / c
+            if abs(c) < fpmin:
+                c = fpmin
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             break
     return h
@@ -154,28 +145,92 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> PearsonResult:
 
 
 # ---------------------------------------------------------------------------
-# Per-category repository summaries.
+# The per-run index: each per-repository quantity, computed on first read.
 
-SUMMARY_FIELDS = (
-    "issues_per_repo",
-    "closed_pct",
-    "comments_per_closed_issue",
-    "comments_per_open_issue",
-    "mean_sentiment",
-    "reviewers_per_issue",
-    "contributors",
-    "owner_followers",
-    "opener_followers",
-    "closer_followers",
-    "lines_added_per_issue",
-    "lines_removed_per_issue",
-    "days_to_first_issue",
-    "hours_between_issue_openings",
-    "hours_to_close",
-    "commits_per_repo",
-    "commits_before_first_issue",
-    "commits_between_issues",
-)
+
+class RepoIndex:
+    """One repository's derived quantities, each computed on first read and kept.
+
+    Of the community graph only the ``ICSReport`` is kept, not its edges.
+    """
+
+    def __init__(self, repo: Repository):
+        self.repo = repo
+
+    @cached_property
+    def issues(self) -> list[Issue]:
+        """The issues in opening order (``Repository.issues_by_time``)."""
+        return self.repo.issues_by_time()
+
+    @cached_property
+    def postings(self) -> dict[User, dict[str, int]]:
+        """``reviewer_postings`` over ``issues``."""
+        return reviewer_postings(self.issues)
+
+    @cached_property
+    def received_comments(self) -> dict[str, int]:
+        """``received_comment_count`` of each issue, by issue id."""
+        received = dict.fromkeys((issue.id for issue in self.issues), 0)
+        for reviewed in self.postings.values():
+            for issue_id, n in reviewed.items():
+                received[issue_id] += n
+        return received
+
+    @cached_property
+    def event_metrics(self) -> dict[str, float]:
+        """``repo_metrics`` without the comment sentiment."""
+        return _event_metrics(self)
+
+    @cached_property
+    def sentiment(self) -> tuple[float, int]:
+        """``repo_sentiment``: mean comment score and the number of comments scored."""
+        return repo_sentiment(self.repo)
+
+    @cached_property
+    def ics_report(self) -> ICSReport:
+        return ics(build_graph(self.repo, self.postings))
+
+    def metrics(self) -> dict[str, float]:
+        """The repository's contribution to each summary field, absent keys skipped."""
+        out = dict(self.event_metrics)
+        score, n_comments = self.sentiment
+        if n_comments:
+            out["mean_sentiment"] = score
+        return out
+
+
+class CorpusIndex:
+    """The ``RepoIndex`` of every repository analysed, and the reference time.
+
+    Threads reading a quantity first at the same time may each compute it,
+    to equal results.
+    """
+
+    def __init__(self, corpus: Corpus):
+        self.corpus = corpus
+        self._repos: dict[int, RepoIndex] = {}
+
+    def __getitem__(self, repo: Repository) -> RepoIndex:
+        # by identity: the RepoIndex keeps its repository alive, so no id is reused
+        index = self._repos.get(id(repo))
+        if index is None:
+            index = self._repos[id(repo)] = RepoIndex(repo)
+        return index
+
+    @cached_property
+    def reference_time(self) -> float:
+        return corpus_reference_time(self.corpus)
+
+
+def corpus_index(corpus: Corpus) -> CorpusIndex:
+    """The corpus's index, made on first use and kept on the corpus for the run."""
+    if corpus.index is None:
+        corpus.index = CorpusIndex(corpus)
+    return corpus.index
+
+
+# ---------------------------------------------------------------------------
+# Per-category repository summaries.
 
 
 @dataclass(frozen=True)
@@ -212,16 +267,18 @@ class RepoSummary:
         return {name: getattr(self, name) for name in SUMMARY_FIELDS}
 
 
+SUMMARY_FIELDS = tuple(f.name for f in fields(RepoSummary))[2:]  # after category, n_repos
+
+
 def _mean(values: list[float]) -> float | None:
     if not values:
         return None
     return math.fsum(values) / len(values)
 
 
-def _event_metrics(repo: Repository) -> dict[str, float]:
-    """``repo_metrics`` without the comment sentiment."""
+def _event_metrics(index: RepoIndex) -> dict[str, float]:
+    repo, issues = index.repo, index.issues
     out: dict[str, float] = {}
-    issues = repo.issues_by_time()
     n = len(issues)
     out["issues_per_repo"] = float(n)
     out["contributors"] = float(len(repo.contributors))
@@ -232,8 +289,7 @@ def _event_metrics(repo: Repository) -> dict[str, float]:
     opened = [i for i in issues if i.closed_at is None]
     if n:
         out["closed_pct"] = 100.0 * len(closed) / n
-        postings = reviewer_postings(issues)
-        out["reviewers_per_issue"] = math.fsum(len(reviewed) for reviewed in postings.values()) / n
+        out["reviewers_per_issue"] = math.fsum(len(reviewed) for reviewed in index.postings.values()) / n
         out["days_to_first_issue"] = (issues[0].created_at - repo.created_at) / DAY
         out["commits_before_first_issue"] = float(
             sum(1 for c in repo.commits if c.created_at < issues[0].created_at)
@@ -268,11 +324,7 @@ def _event_metrics(repo: Repository) -> dict[str, float]:
 
 def repo_metrics(repo: Repository) -> dict[str, float]:
     """One repository's contribution to each summary field, absent keys skipped."""
-    out = _event_metrics(repo)
-    score, n_comments = repo_sentiment(repo)
-    if n_comments:
-        out["mean_sentiment"] = score
-    return out
+    return RepoIndex(repo).metrics()
 
 
 def _select(corpus: Corpus, category: Category | str | None) -> tuple[list[Repository], str | None]:
@@ -285,9 +337,10 @@ def repo_summary(corpus: Corpus, category: Category | str | None = None) -> Repo
     repos, cat_name = _select(corpus, category)
     if not repos:
         raise EmptySelectionError(f"no repositories selected (category={cat_name or 'all'})")
+    index = corpus_index(corpus)
     columns: dict[str, list[float]] = {name: [] for name in SUMMARY_FIELDS}
     for repo in repos:
-        for name, value in repo_metrics(repo).items():
+        for name, value in index[repo].metrics().items():
             columns[name].append(value)
     return RepoSummary(
         category=cat_name,
@@ -332,40 +385,32 @@ def corpus_reference_time(corpus: Corpus) -> float:
     return latest
 
 
-def _feature_extractors(corpus: Corpus) -> dict[str, Callable[[Repository], float | None]]:
-    reference = corpus_reference_time(corpus)
-    metrics: dict[str, dict[str, float]] = {}
+def _feature_extractors(index: CorpusIndex) -> dict[str, Callable[[RepoIndex], float | None]]:
+    def metric(name: str) -> Callable[[RepoIndex], float | None]:
+        return lambda x: x.event_metrics.get(name)
 
-    def metric(name: str) -> Callable[[Repository], float | None]:
-        def extract(repo: Repository) -> float | None:
-            if repo.id not in metrics:
-                metrics[repo.id] = _event_metrics(repo)
-            return metrics[repo.id].get(name)
+    def comments(x: RepoIndex) -> float:
+        return float(sum(len(i.comments) for i in x.repo.issues))
 
-        return extract
-
-    def comments(repo: Repository) -> float:
-        return float(sum(len(i.comments) for i in repo.issues))
-
-    def stars(repo: Repository) -> float:
-        return float(repo.stargazers)
+    def stars(x: RepoIndex) -> float:
+        return float(x.repo.stargazers)
 
     return {
-        "repo_age": lambda r: (reference - r.created_at) / DAY,
-        "contributors": lambda r: float(len(r.contributors)),
+        "repo_age": lambda x: (index.reference_time - x.repo.created_at) / DAY,
+        "contributors": lambda x: float(len(x.repo.contributors)),
         "issue_comments": comments,
         "comments": comments,
-        "commits": lambda r: float(len(r.commits)),
-        "reviewers": lambda r: float(len(reviewer_postings(r.issues))),
+        "commits": lambda x: float(len(x.repo.commits)),
+        "reviewers": lambda x: float(len(x.postings)),
         "commits_before_first_issue": metric("commits_before_first_issue"),
         "commits_between_issues": metric("commits_between_issues"),
         "issue_opener_followers": metric("opener_followers"),
         "repo_owner_followers": metric("owner_followers"),
         "stars": stars,
         "stargazers": stars,
-        "forks": lambda r: float(r.forks),
-        "watchers": lambda r: float(r.watchers),
-        "issues_count": lambda r: float(len(r.issues)),
+        "forks": lambda x: float(x.repo.forks),
+        "watchers": lambda x: float(x.repo.watchers),
+        "issues_count": lambda x: float(len(x.repo.issues)),
     }
 
 
@@ -410,20 +455,21 @@ def correlate_features(
         raise EmptySelectionError(
             f"need at least 3 repositories, got {len(repos)} (category={cat_name or 'all'})"
         )
+    index = corpus_index(corpus)
     if target == "issues":
         targets: dict[str, float] = {r.id: float(len(r.issues)) for r in repos}
         chosen = tuple(features) if features is not None else ISSUE_TARGET_FEATURES
     elif target == "ics":
         targets = {}
         for repo in repos:
-            report = ics(build_graph(repo))
-            if report.ics is not None:
-                targets[repo.id] = report.ics
+            score = index[repo].ics_report.ics
+            if score is not None:
+                targets[repo.id] = score
         chosen = tuple(features) if features is not None else ICS_TARGET_FEATURES
     else:
         raise ValueError(f"unknown correlation target {target!r}")
 
-    extractors = _feature_extractors(corpus)
+    extractors = _feature_extractors(index)
     rows: list[CorrelationRow] = []
     for name in chosen:
         if name not in extractors:
@@ -434,7 +480,7 @@ def correlate_features(
         for repo in repos:
             if repo.id not in targets:
                 continue
-            value = extract(repo)
+            value = extract(index[repo])
             if value is None:
                 continue
             xs.append(value)
@@ -486,11 +532,12 @@ def expertise_coverage(
     if repos is not None:
         selection = list(repos)
 
+    index = corpus_index(corpus)
     n_issues = 0
     postings: dict[User, list[tuple[str, str]]] = {}
     for repo in selection:
         n_issues += len(repo.issues)
-        for user, reviewed in reviewer_postings(repo.issues).items():
+        for user, reviewed in index[repo].postings.items():
             postings.setdefault(user, []).extend((repo.id, issue) for issue in reviewed)
     if not postings:
         return CoverageReport(
@@ -558,16 +605,18 @@ def popularity_vs_comments(corpus: Corpus) -> PopularityReport:
     Repos with under 3 such issues, or with a constant series on either
     axis, are omitted; rows sort ascending by total issue count.
     """
+    index = corpus_index(corpus)
     rows: list[PopularityRow] = []
     omitted = 0
     for repo in corpus.repos:
+        received = index[repo].received_comments
         xs: list[float] = []
         ys: list[float] = []
         for issue in repo.issues:
             if not issue.has_linked_code:
                 continue
             xs.append(float(issue.opener.followers))
-            ys.append(float(received_comment_count(issue)))
+            ys.append(float(received[issue.id]))
         if len(xs) < 3:
             omitted += 1
             continue

@@ -18,6 +18,7 @@ import random
 import shutil
 import sys
 import tempfile
+from dataclasses import fields
 from datetime import datetime, timezone
 
 from . import __version__
@@ -28,6 +29,7 @@ from .analytics import (
     EmptySelectionError,
     RepoSummary,
     correlate_features,
+    corpus_index,
     expertise_coverage,
     popularity_vs_comments,
     repo_summary,
@@ -37,7 +39,7 @@ from .community import build_graph, ics, normalized_ics, export_graph
 from .fetcher import FetchError, FetchPlan, GitHubClient, fetch_corpus
 from .models import CATEGORY_ORDER, Category, Corpus, validate
 from .sentiment import repo_sentiment
-from .simulator import SimConfig, SimTable, simulate_corpus
+from .simulator import SimConfig, SimRow, SimTable, TimelineRow, simulate_corpus
 from .temporal import (
     ALPHA_DEFAULT,
     InsufficientDataError,
@@ -121,11 +123,6 @@ def _load(args: argparse.Namespace) -> Corpus:
     return load_archive(args.input, lenient=args.lenient)
 
 
-def _ensure_out(args: argparse.Namespace) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
 # ---------------------------------------------------------------------------
 # Table builders shared by the standalone subcommands and `report`.
 
@@ -159,53 +156,13 @@ def _correlation_table(corpus: Corpus, target: str) -> tuple[list[str], list[lis
     return header, rows
 
 
-def _table3(table: SimTable) -> tuple[list[str], list[list]]:
-    header = [
-        "category",
-        "ap",
-        "dense_pct",
-        "regular_pct",
-        "dispersed_pct",
-        "before_dense_pct",
-        "before_regular_pct",
-        "before_dispersed_pct",
-        "injected_dense_pct",
-        "injected_regular_pct",
-        "injected_dispersed_pct",
-        "n_repos",
-        "n_excluded",
-    ]
-    rows = [
-        [
-            r.category,
-            r.ap,
-            r.dense_pct,
-            r.regular_pct,
-            r.dispersed_pct,
-            r.before_dense_pct,
-            r.before_regular_pct,
-            r.before_dispersed_pct,
-            r.injected_dense_pct,
-            r.injected_regular_pct,
-            r.injected_dispersed_pct,
-            r.n_repos,
-            r.n_excluded,
-        ]
-        for r in table.rows
-    ]
-    return header, rows
+def _fields_table(row_type: type, records: tuple) -> tuple[list[str], list[list]]:
+    """One column per field of the ``row_type`` dataclass, in declaration order."""
+    header = [f.name for f in fields(row_type)]
+    return header, [[getattr(r, name) for name in header] for r in records]
 
 
-def _fig6(table: SimTable) -> tuple[list[str], list[list]]:
-    header = ["category", "ap", "window_index", "before_regular_pct", "after_regular_pct", "n_repos"]
-    rows = [
-        [t.category, t.ap, t.window_index, t.before_regular_pct, t.after_regular_pct, t.n_repos]
-        for t in table.timelines
-    ]
-    return header, rows
-
-
-def _expertise_tables(corpus: Corpus) -> tuple[tuple[list[str], list[list]], tuple[list[str], list[list]]]:
+def _expertise_tables(corpus: Corpus, _args: argparse.Namespace) -> dict:
     table4_rows: list[list] = []
     fig7_rows: list[list] = []
     for cat in corpus.categories():
@@ -224,16 +181,27 @@ def _expertise_tables(corpus: Corpus) -> tuple[tuple[list[str], list[list]], tup
         )
         for point in report.curve:
             fig7_rows.append([cat.value, point.reviewer_rank_pct, point.issues_covered_pct])
-    return (
-        (["category", "n_reviewers", "n_issues", "popularity_ratio_pct", "issue_coverage_pct"], table4_rows),
-        (["category", "reviewer_rank_pct", "issues_covered_pct"], fig7_rows),
-    )
+    return {
+        "table4": (["category", "n_reviewers", "n_issues", "popularity_ratio_pct", "issue_coverage_pct"], table4_rows),
+        "fig7_coverage": (["category", "reviewer_rank_pct", "issues_covered_pct"], fig7_rows),
+    }
 
 
-def _fig8(corpus: Corpus) -> tuple[tuple[list[str], list[list]], int]:
-    report = popularity_vs_comments(corpus)
-    rows = [[r.repo_id, r.issue_count, r.r, r.p, r.n] for r in report.rows]
-    return (["repo_id", "issue_count", "r", "p", "n"], rows), report.omitted
+def _report_counters(corpus: Corpus, table: SimTable) -> dict:
+    """Repos and undefined ICS scores per category, simulation exclusions per AP."""
+    index = corpus_index(corpus)
+    excluded: dict[str, int] = {}
+    for (_, ap), sims in table.results.items():
+        excluded[str(ap)] = excluded.get(str(ap), 0) + sum(s.excluded for s in sims)
+    by_category = {cat.value: corpus.by_category(cat) for cat in corpus.categories()}
+    return {
+        "repos": {name: len(repos) for name, repos in by_category.items()},
+        "ics_undefined": {
+            name: sum(index[r].ics_report.undefined for r in repos)
+            for name, repos in by_category.items()
+        },
+        "sim_excluded": excluded,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +209,10 @@ def _fig8(corpus: Corpus) -> tuple[tuple[list[str], list[list]], int]:
 
 
 def _cmd_fetch(args: argparse.Namespace) -> int:
+    out_dir = os.path.dirname(os.path.abspath(args.out_archive))
+    if not os.path.isdir(out_dir):  # before the first request, not after the last
+        print(f"error: cannot write {args.out_archive}: no directory {out_dir}", file=sys.stderr)
+        return 1
     plan = FetchPlan(
         targets=tuple(args.repo),
         topic=args.topic,
@@ -263,7 +235,6 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
         )
         corpus.repos = [r for r in corpus.repos if r.id in keep]
     save_archive(corpus, args.out_archive)
-    out_dir = os.path.dirname(os.path.abspath(args.out_archive)) or "."
     _write_manifest(
         out_dir, args, [],
         counters={"requests": client.requests, "not_modified": client.not_modified},
@@ -286,18 +257,30 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_summary(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    out = _ensure_out(args)
-    header, rows = _table1(_summaries(corpus))
-    _write_table(out, "table1", header, rows, args.format)
-    _write_manifest(out, args, [args.input])
-    return 0
+def _tables_command(build):
+    """A subcommand writing each table of ``build(corpus, args)``, by name, then the manifest."""
+
+    def run(args: argparse.Namespace) -> int:
+        corpus = _load(args)
+        os.makedirs(args.out, exist_ok=True)
+        for name, (header, rows) in build(corpus, args).items():
+            _write_table(args.out, name, header, rows, args.format)
+        _write_manifest(args.out, args, [args.input])
+        return 0
+
+    return run
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    out = _ensure_out(args)
+def _summary_tables(corpus: Corpus, _args: argparse.Namespace) -> dict:
+    return {"table1": _table1(_summaries(corpus))}
+
+
+def _correlate_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
+    name = "table2" if args.target == "issues" else "table5"
+    return {name: _correlation_table(corpus, args.target)}
+
+
+def _classify_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
     header = ["repo_id", "category", "n_gaps", "idm_hours", "dense_pct", "regular_pct", "dispersed_pct", "note"]
     rows: list[list] = []
     for repo in corpus.repos:
@@ -320,13 +303,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 None,
             ]
         )
-    _write_table(out, "classify", header, rows, args.format)
-    _write_manifest(out, args, [args.input])
-    return 0
+    return {"classify": (header, rows)}
 
 
-def _sim_configs(args: argparse.Namespace) -> list[SimConfig]:
-    return [
+def _simulate(corpus: Corpus, args: argparse.Namespace) -> SimTable:
+    configs = [
         SimConfig(
             acceptance_probability=ap,
             iap=args.iap,
@@ -339,39 +320,27 @@ def _sim_configs(args: argparse.Namespace) -> list[SimConfig]:
         )
         for ap in args.ap
     ]
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    out = _ensure_out(args)
-    table = simulate_corpus(corpus, _sim_configs(args), timeline_window=args.window)
+    table = simulate_corpus(corpus, configs, timeline_window=args.window)
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    header, rows = _table3(table)
-    _write_table(out, "table3", header, rows, args.format)
-    header6, rows6 = _fig6(table)
-    _write_table(out, "fig6_timeline", header6, rows6, args.format)
-    _write_manifest(out, args, [args.input])
-    return 0
+    return table
 
 
-def _cmd_community(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    out = _ensure_out(args)
-    header = [
-        "repo_id",
-        "category",
-        "issue_count",
-        "e2_count",
-        "ics",
-        "normalized_ics",
-        "isolated_issues",
-        "undefined",
-        "exceeds_one",
-    ]
+def _simulate_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
+    table = _simulate(corpus, args)
+    return {
+        "table3": _fields_table(SimRow, table.rows),
+        "fig6_timeline": _fields_table(TimelineRow, table.timelines),
+    }
+
+
+def _community_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
+    header = ["repo_id", "category", "issue_count", "e2_count", "ics", "normalized_ics",
+              "isolated_issues", "undefined", "exceeds_one"]
     rows: list[list] = []
+    index = corpus_index(corpus)
     for repo in corpus.repos:
-        graph = build_graph(repo)
+        graph = build_graph(repo, index[repo].postings)
         report = ics(graph)
         rows.append(
             [
@@ -387,45 +356,16 @@ def _cmd_community(args: argparse.Namespace) -> int:
             ]
         )
         if args.export_graphs:
-            export_graph(graph, os.path.join(out, "graphs"))
-    _write_table(out, "community", header, rows, args.format)
-    _write_manifest(out, args, [args.input])
-    return 0
+            export_graph(graph, os.path.join(args.out, "graphs"))
+    return {"community": (header, rows)}
 
 
-def _cmd_expertise(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    out = _ensure_out(args)
-    (h4, r4), (h7, r7) = _expertise_tables(corpus)
-    _write_table(out, "table4", h4, r4, args.format)
-    _write_table(out, "fig7_coverage", h7, r7, args.format)
-    _write_manifest(out, args, [args.input])
-    return 0
-
-
-def _cmd_correlate(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    out = _ensure_out(args)
-    header, rows = _correlation_table(corpus, args.target)
-    name = "table2" if args.target == "issues" else "table5"
-    _write_table(out, name, header, rows, args.format)
-    _write_manifest(out, args, [args.input])
-    return 0
-
-
-def _cmd_sentiment(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    out = _ensure_out(args)
-    header = ["repo_id", "category", "n_comments", "mean_score"]
+def _sentiment_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
     rows: list[list] = []
     for repo in corpus.repos:
         score, n_comments = repo_sentiment(repo)
-        rows.append(
-            [repo.id, repo.category.value, n_comments, score if n_comments else None]
-        )
-    _write_table(out, "sentiment", header, rows, args.format)
-    _write_manifest(out, args, [args.input])
-    return 0
+        rows.append([repo.id, repo.category.value, n_comments, score if n_comments else None])
+    return {"sentiment": (["repo_id", "category", "n_comments", "mean_score"], rows)}
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -438,18 +378,21 @@ def _cmd_report(args: argparse.Namespace) -> int:
     parent = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(parent, exist_ok=True)
 
-    table = simulate_corpus(corpus, _sim_configs(args), timeline_window=args.window)
-    for warning in table.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    table = _simulate(corpus, args)
     summaries = _summaries(corpus)
-    h1, r1 = _table1(summaries)
-    h2, r2 = _correlation_table(corpus, "issues")
-    h3, r3 = _table3(table)
-    (h4, r4), (h7, r7) = _expertise_tables(corpus)
-    h5, r5 = _correlation_table(corpus, "ics")
-    h6, r6 = _fig6(table)
-    (h8, r8), omitted = _fig8(corpus)
-
+    popularity = popularity_vs_comments(corpus)
+    tables = {
+        "table1": _table1(summaries),
+        "table2": _correlation_table(corpus, "issues"),
+        "table3": _fields_table(SimRow, table.rows),
+        **_expertise_tables(corpus, args),
+        "table5": _correlation_table(corpus, "ics"),
+        "fig6_timeline": _fields_table(TimelineRow, table.timelines),
+        "fig8_popularity": (
+            ["repo_id", "issue_count", "r", "p", "n"],
+            [[r.repo_id, r.issue_count, r.r, r.p, r.n] for r in popularity.rows],
+        ),
+    }
     combined = {
         "seed": args.seed,
         "alpha_hours": args.alpha / HOUR,
@@ -458,23 +401,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
             cat.value: {"summary": summary.as_dict() | {"n_repos": summary.n_repos}}
             for cat, summary in summaries.items()
         },
-        "popularity_omitted_repos": omitted,
+        "popularity_omitted_repos": popularity.omitted,
     }
 
     tmp = tempfile.mkdtemp(prefix=".report-", dir=parent)
     try:
-        _write_csv(os.path.join(tmp, "table1.csv"), h1, r1)
-        _write_csv(os.path.join(tmp, "table2.csv"), h2, r2)
-        _write_csv(os.path.join(tmp, "table3.csv"), h3, r3)
-        _write_csv(os.path.join(tmp, "table4.csv"), h4, r4)
-        _write_csv(os.path.join(tmp, "table5.csv"), h5, r5)
-        _write_csv(os.path.join(tmp, "fig6_timeline.csv"), h6, r6)
-        _write_csv(os.path.join(tmp, "fig7_coverage.csv"), h7, r7)
-        _write_csv(os.path.join(tmp, "fig8_popularity.csv"), h8, r8)
+        for name, (header, rows) in tables.items():
+            _write_csv(os.path.join(tmp, f"{name}.csv"), header, rows)
         with open(os.path.join(tmp, "report.json"), "w", encoding="utf-8") as fh:
             json.dump(combined, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        _write_manifest(tmp, args, [args.input])
+        _write_manifest(tmp, args, [args.input], _report_counters(corpus, table))
         os.replace(tmp, args.out)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -563,45 +500,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fetch, subcommand="fetch")
 
     p = sub.add_parser("validate", help="check an archive against the data-model invariants")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--lenient", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    _add_common(p, needs_out=False)
     p.set_defaults(func=_cmd_validate, subcommand="validate")
 
     p = sub.add_parser("summary", help="per-category summary statistics")
     _add_common(p)
-    p.set_defaults(func=_cmd_summary, subcommand="summary")
+    p.set_defaults(func=_tables_command(_summary_tables), subcommand="summary")
 
     p = sub.add_parser("classify", help="per-repo gap classification shares")
     _add_common(p)
     p.add_argument("--alpha", type=_duration, default=ALPHA_DEFAULT,
                    help="half-width of the regular band (e.g. 6h)")
-    p.set_defaults(func=_cmd_classify, subcommand="classify")
+    p.set_defaults(func=_tables_command(_classify_tables), subcommand="classify")
 
     p = sub.add_parser("simulate", help="notification simulation over the corpus")
     _add_common(p)
     p.add_argument("--alpha", type=_duration, default=ALPHA_DEFAULT)
     _add_sim_flags(p)
-    p.set_defaults(func=_cmd_simulate, subcommand="simulate")
+    p.set_defaults(func=_tables_command(_simulate_tables), subcommand="simulate")
 
     p = sub.add_parser("community", help="issue community graphs and scores")
     _add_common(p)
     p.add_argument("--export-graphs", action="store_true",
                    help="also write per-repo edge-list CSVs")
-    p.set_defaults(func=_cmd_community, subcommand="community")
+    p.set_defaults(func=_tables_command(_community_tables), subcommand="community")
 
     p = sub.add_parser("expertise", help="reviewer coverage and popularity concentration")
     _add_common(p)
-    p.set_defaults(func=_cmd_expertise, subcommand="expertise")
+    p.set_defaults(func=_tables_command(_expertise_tables), subcommand="expertise")
 
     p = sub.add_parser("correlate", help="feature correlations per category")
     _add_common(p)
     p.add_argument("--target", choices=("issues", "ics"), default="issues")
-    p.set_defaults(func=_cmd_correlate, subcommand="correlate")
+    p.set_defaults(func=_tables_command(_correlate_tables), subcommand="correlate")
 
     p = sub.add_parser("sentiment", help="per-repo mean comment sentiment")
     _add_common(p)
-    p.set_defaults(func=_cmd_sentiment, subcommand="sentiment")
+    p.set_defaults(func=_tables_command(_sentiment_tables), subcommand="sentiment")
 
     p = sub.add_parser("report", help="full pipeline: all table and figure files")
     _add_common(p)

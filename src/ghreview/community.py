@@ -14,10 +14,10 @@ from __future__ import annotations
 import csv
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 
-from .models import Repository, reviewer_postings
+from .models import Repository, User, reviewer_postings
 
 __all__ = [
     "E1Edge",
@@ -113,8 +113,12 @@ class ICSReport:
     exceeds_one: bool
 
 
-def build_graph(repo: Repository) -> IssueCommunityGraph:
-    postings = reviewer_postings(repo.issues)
+def build_graph(
+    repo: Repository, postings: dict[User, dict[str, int]] | None = None
+) -> IssueCommunityGraph:
+    """The repository's graph; ``postings`` are its ``reviewer_postings`` if the caller holds them."""
+    if postings is None:
+        postings = reviewer_postings(repo.issues)
     e1 = [
         E1Edge(reviewer=user.login, issue=issue, weight=n)
         for user, reviewed in postings.items()
@@ -197,16 +201,11 @@ def export_graph(graph: IssueCommunityGraph, out_dir: str) -> tuple[str, str]:
     can rely on both files existing.
     """
     os.makedirs(out_dir, exist_ok=True)
-    e1_path = os.path.join(out_dir, f"{graph.repo_id.replace('/', '_')}_e1.csv")
-    e2_path = os.path.join(out_dir, f"{graph.repo_id.replace('/', '_')}_e2.csv")
-    with open(e1_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["reviewer", "issue", "weight"])
-        for edge in graph.e1_edges:
-            writer.writerow([edge.reviewer, edge.issue, edge.weight])
-    with open(e2_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["issue_a", "issue_b", "weight"])
-        for edge in graph.e2_edges:
-            writer.writerow([edge.issue_a, edge.issue_b, edge.weight])
-    return e1_path, e2_path
+    paths = []
+    for name, edge_type, edges in (("e1", E1Edge, graph.e1_edges), ("e2", E2Edge, graph.e2_edges)):
+        paths.append(os.path.join(out_dir, f"{graph.repo_id.replace('/', '_')}_{name}.csv"))
+        with open(paths[-1], "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(f.name for f in fields(edge_type))
+            writer.writerows(astuple(edge) for edge in edges)
+    return paths[0], paths[1]

@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import requests
@@ -47,6 +49,8 @@ __all__ = [
     "search_by_topic",
     "fetch_corpus",
 ]
+
+log = logging.getLogger(__name__)
 
 DEFAULT_BASE_URL = "https://api.github.com"
 TOKEN_ENV_VAR = "GITHUB_TOKEN"
@@ -259,6 +263,21 @@ def _fetch_users(client: GitHubClient, logins: set[str]) -> dict[str, User]:
     return {user.login: user for user in resolved}
 
 
+@contextmanager
+def _persisting(client: GitHubClient):
+    """Write the client's cache when the block ends; if the block failed, a cache
+    write error is logged rather than raised in place of the block's error."""
+    try:
+        yield
+    except BaseException:
+        try:
+            client.persist_cache()
+        except OSError as cache_error:
+            log.warning("ETag cache not written: %s", cache_error)
+        raise
+    client.persist_cache()
+
+
 def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = None) -> tuple[Repository, dict[str, User]]:
     """Fetch one repository's full event tree.
 
@@ -267,126 +286,120 @@ def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = N
     written when the fetch ends, whether it succeeded or not.
     """
     client = client or GitHubClient(plan)
-    try:
-        return _fetch_repository(slug, plan, client)
-    finally:
-        client.persist_cache()
+    with _persisting(client):
+        base = plan.base_url
+        try:
+            payload, _, _ = client.get(f"{base}/repos/{slug}")
+        except _NotFound:
+            raise UnknownRepoError(slug) from None
+        if not isinstance(payload, dict):
+            raise PayloadDecodeError(f"{base}/repos/{slug}", "expected a JSON object")
 
+        owner_login = payload["owner"]["login"]
+        created_at = _ts(payload["created_at"], "repo created_at")
 
-def _fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient) -> tuple[Repository, dict[str, User]]:
-    base = plan.base_url
-    try:
-        payload, _, _ = client.get(f"{base}/repos/{slug}")
-    except _NotFound:
-        raise UnknownRepoError(slug) from None
-    if not isinstance(payload, dict):
-        raise PayloadDecodeError(f"{base}/repos/{slug}", "expected a JSON object")
+        contributors_payload = client.paged(
+            f"{base}/repos/{slug}/contributors?{_query({'per_page': plan.page_size})}"
+        )
+        contributor_logins = [c["login"] for c in contributors_payload if "login" in c]
 
-    owner_login = payload["owner"]["login"]
-    created_at = _ts(payload["created_at"], "repo created_at")
+        issue_params = {"state": "all", "per_page": plan.page_size}
+        if plan.since is not None:
+            issue_params["since"] = int(plan.since)
+        issues_payload = client.paged(f"{base}/repos/{slug}/issues?{_query(issue_params)}")
 
-    contributors_payload = client.paged(
-        f"{base}/repos/{slug}/contributors?{_query({'per_page': plan.page_size})}"
-    )
-    contributor_logins = [c["login"] for c in contributors_payload if "login" in c]
+        commits_payload = client.paged(
+            f"{base}/repos/{slug}/commits?{_query({'per_page': plan.page_size})}"
+        )
 
-    issue_params = {"state": "all", "per_page": plan.page_size}
-    if plan.since is not None:
-        issue_params["since"] = int(plan.since)
-    issues_payload = client.paged(f"{base}/repos/{slug}/issues?{_query(issue_params)}")
+        logins: set[str] = {owner_login}
+        logins.update(contributor_logins)
+        comment_payloads: dict[int, list] = {}
+        for item in issues_payload:
+            logins.add(item["user"]["login"])
+            closed_by = item.get("closed_by")
+            if closed_by:
+                logins.add(closed_by["login"])
+            if item.get("comments", 0):
+                number = item["number"]
+                comment_payloads[number] = client.paged(
+                    f"{base}/repos/{slug}/issues/{number}/comments?"
+                    f"{_query({'per_page': plan.page_size})}"
+                )
+                for c in comment_payloads[number]:
+                    logins.add(c["user"]["login"])
+        commit_authors: list[str | None] = []
+        for item in commits_payload:
+            author = item.get("author")
+            login = author["login"] if author and "login" in author else None
+            commit_authors.append(login)
+            if login:
+                logins.add(login)
 
-    commits_payload = client.paged(
-        f"{base}/repos/{slug}/commits?{_query({'per_page': plan.page_size})}"
-    )
+        users = _fetch_users(client, logins)
 
-    logins: set[str] = {owner_login}
-    logins.update(contributor_logins)
-    comment_payloads: dict[int, list] = {}
-    for item in issues_payload:
-        logins.add(item["user"]["login"])
-        closed_by = item.get("closed_by")
-        if closed_by:
-            logins.add(closed_by["login"])
-        if item.get("comments", 0):
+        issues: list[Issue] = []
+        for item in issues_payload:
             number = item["number"]
-            comment_payloads[number] = client.paged(
-                f"{base}/repos/{slug}/issues/{number}/comments?"
-                f"{_query({'per_page': plan.page_size})}"
+            issue_id = f"{slug}#{number}"
+            closed_by = item.get("closed_by")
+            comments = [
+                Comment(
+                    issue_id=issue_id,
+                    author=users[c["user"]["login"]],
+                    created_at=_ts(c["created_at"], "comment created_at"),
+                    body=c.get("body") or "",
+                )
+                for c in comment_payloads.get(number, [])
+            ]
+            comments.sort(key=lambda c: c.created_at)
+            issues.append(
+                Issue(
+                    id=issue_id,
+                    repo_id=slug,
+                    opener=users[item["user"]["login"]],
+                    created_at=_ts(item["created_at"], "issue created_at"),
+                    closer=users[closed_by["login"]] if closed_by else None,
+                    closed_at=(
+                        _ts(item["closed_at"], "issue closed_at")
+                        if item.get("closed_at")
+                        else None
+                    ),
+                    has_linked_code="pull_request" in item,
+                    comments=comments,
+                )
             )
-            for c in comment_payloads[number]:
-                logins.add(c["user"]["login"])
-    commit_authors: list[str | None] = []
-    for item in commits_payload:
-        author = item.get("author")
-        login = author["login"] if author and "login" in author else None
-        commit_authors.append(login)
-        if login:
-            logins.add(login)
+        issues.sort(key=lambda i: (i.created_at, i.id))
 
-    users = _fetch_users(client, logins)
+        commits: list[Commit] = []
+        for item, login in zip(commits_payload, commit_authors):
+            if login is None:
+                continue  # commits without a resolvable account carry no reviewer signal
+            stats = item.get("stats") or {}
+            commits.append(
+                Commit(
+                    repo_id=slug,
+                    author=users[login],
+                    created_at=_ts(item["commit"]["author"]["date"], "commit date"),
+                    lines_added=int(stats.get("additions", 0)),
+                    lines_removed=int(stats.get("deletions", 0)),
+                )
+            )
+        commits.sort(key=lambda c: c.created_at)
 
-    issues: list[Issue] = []
-    for item in issues_payload:
-        number = item["number"]
-        issue_id = f"{slug}#{number}"
-        closed_by = item.get("closed_by")
-        comments = [
-            Comment(
-                issue_id=issue_id,
-                author=users[c["user"]["login"]],
-                created_at=_ts(c["created_at"], "comment created_at"),
-                body=c.get("body") or "",
-            )
-            for c in comment_payloads.get(number, [])
-        ]
-        comments.sort(key=lambda c: c.created_at)
-        issues.append(
-            Issue(
-                id=issue_id,
-                repo_id=slug,
-                opener=users[item["user"]["login"]],
-                created_at=_ts(item["created_at"], "issue created_at"),
-                closer=users[closed_by["login"]] if closed_by else None,
-                closed_at=(
-                    _ts(item["closed_at"], "issue closed_at")
-                    if item.get("closed_at")
-                    else None
-                ),
-                has_linked_code="pull_request" in item,
-                comments=comments,
-            )
+        repo = Repository(
+            id=slug,
+            category=plan.category,
+            created_at=created_at,
+            owner=users[owner_login],
+            contributors=tuple(users[login] for login in contributor_logins),
+            stargazers=int(payload.get("stargazers_count", 0)),
+            forks=int(payload.get("forks_count", 0)),
+            watchers=int(payload.get("subscribers_count", payload.get("watchers_count", 0))),
+            issues=issues,
+            commits=commits,
         )
-    issues.sort(key=lambda i: (i.created_at, i.id))
-
-    commits: list[Commit] = []
-    for item, login in zip(commits_payload, commit_authors):
-        if login is None:
-            continue  # commits without a resolvable account carry no reviewer signal
-        stats = item.get("stats") or {}
-        commits.append(
-            Commit(
-                repo_id=slug,
-                author=users[login],
-                created_at=_ts(item["commit"]["author"]["date"], "commit date"),
-                lines_added=int(stats.get("additions", 0)),
-                lines_removed=int(stats.get("deletions", 0)),
-            )
-        )
-    commits.sort(key=lambda c: c.created_at)
-
-    repo = Repository(
-        id=slug,
-        category=plan.category,
-        created_at=created_at,
-        owner=users[owner_login],
-        contributors=tuple(users[login] for login in contributor_logins),
-        stargazers=int(payload.get("stargazers_count", 0)),
-        forks=int(payload.get("forks_count", 0)),
-        watchers=int(payload.get("subscribers_count", payload.get("watchers_count", 0))),
-        issues=issues,
-        commits=commits,
-    )
-    return repo, users
+        return repo, users
 
 
 def search_by_topic(topic: str, plan: FetchPlan, client: GitHubClient | None = None) -> list[str]:
@@ -399,15 +412,13 @@ def search_by_topic(topic: str, plan: FetchPlan, client: GitHubClient | None = N
     slugs: list[str] = []
     pages = 0
     next_url: str | None = url
-    try:
+    with _persisting(client):
         while next_url is not None and pages < plan.max_pages:
             payload, next_url, _ = client.get(next_url)
             if not isinstance(payload, dict) or "items" not in payload:
                 raise PayloadDecodeError(url, "expected a search result object")
             slugs.extend(item["full_name"] for item in payload["items"])
             pages += 1
-    finally:
-        client.persist_cache()
     return slugs
 
 

@@ -3,7 +3,8 @@
 A corpus is a set of repositories, each carrying its full event tree
 (issues, comments, commits) plus the users involved.  Objects are treated
 as immutable after construction, so analytics can share a corpus across
-threads without locking.
+threads without locking, and can keep what it derives from a corpus on
+the corpus itself (``Corpus.index``) for the rest of the run.
 
 Timestamps are UTC seconds since the epoch throughout.
 """
@@ -11,7 +12,6 @@ Timestamps are UTC seconds since the epoch throughout.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -104,6 +104,8 @@ class Corpus:
     users: dict[str, User] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
     rejected: list[Rejection] = field(default_factory=list)
+    # ``analytics.corpus_index`` fills this on first use
+    index: object = field(default=None, init=False, repr=False, compare=False)
 
     def repo(self, repo_id: str) -> Repository:
         for r in self.repos:
@@ -131,11 +133,12 @@ class Corpus:
 
 def reviewer_comment_counts(issue: Issue) -> dict[User, int]:
     """Comment counts per reviewer on one issue (opener self-comments excluded)."""
-    counts: Counter[User] = Counter()
+    counts: dict[User, int] = {}
+    opener = issue.opener.login
     for c in issue.comments:
-        if c.author.login != issue.opener.login:
-            counts[c.author] += 1
-    return dict(counts)
+        if c.author.login != opener:
+            counts[c.author] = counts.get(c.author, 0) + 1
+    return counts
 
 
 def issue_reviewers(issue: Issue) -> set[User]:

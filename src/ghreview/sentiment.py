@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -79,14 +80,9 @@ def load_lexicon(path: str | Path | None = None) -> SentimentLexicon:
     return parse_lexicon(text)
 
 
-_default_lexicon: SentimentLexicon | None = None
-
-
+@cache
 def default_lexicon() -> SentimentLexicon:
-    global _default_lexicon
-    if _default_lexicon is None:
-        _default_lexicon = load_lexicon()
-    return _default_lexicon
+    return load_lexicon()
 
 
 def tokenize(text: str) -> list[str]:
@@ -96,16 +92,16 @@ def tokenize(text: str) -> list[str]:
 def score_comment(text: str, lexicon: SentimentLexicon | None = None) -> float:
     """Polarity of one comment in [-1, 1]; 0 when nothing matches."""
     lex = lexicon if lexicon is not None else default_lexicon()
+    entries, negators, intensifiers = lex.entries, lex.negators, lex.intensifiers
     tokens = tokenize(text)
     contributions: list[float] = []
     for i, token in enumerate(tokens):
-        polarity = lex.entries.get(token)
+        polarity = entries.get(token)
         if polarity is None:
             continue
         if i > 0:
-            polarity *= lex.intensifiers.get(tokens[i - 1], 1.0)
-        window = tokens[max(0, i - NEGATION_WINDOW) : i]
-        if any(t in lex.negators for t in window):
+            polarity *= intensifiers.get(tokens[i - 1], 1.0)
+        if not negators.isdisjoint(tokens[max(0, i - NEGATION_WINDOW) : i]):
             polarity = -polarity
         contributions.append(polarity)
     if not contributions:

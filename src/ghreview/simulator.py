@@ -313,6 +313,14 @@ class SimRow:
 
 @dataclass(frozen=True)
 class TimelineRow:
+    """One Fig 6 point: a category's mean regular share at one window index.
+
+    ``window_index`` k is each repo's k-th non-empty window (one holding a
+    gap end), not its k-th calendar window since the first opening.  The
+    before and after series count their own non-empty windows, so the same
+    k can name different calendar windows on the two sides.
+    """
+
     category: str
     ap: float
     window_index: int

@@ -56,13 +56,6 @@ class Distribution:
     dispersed_pct: float
     n_gaps: int
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "dense_pct": self.dense_pct,
-            "regular_pct": self.regular_pct,
-            "dispersed_pct": self.dispersed_pct,
-        }
-
 
 def gaps_from_times(times: Sequence[float]) -> list[float]:
     """Successive differences of sorted opening times."""

@@ -16,6 +16,7 @@ from ghreview.analytics import (
     ISSUE_TARGET_FEATURES,
     SUMMARY_FIELDS,
     corpus_reference_time,
+    corpus_index,
     correlate_features,
     expertise_coverage,
     pearson,
@@ -32,7 +33,11 @@ from ghreview.models import (
     Repository,
     User,
     issue_reviewers,
+    received_comment_count,
+    reviewer_postings,
 )
+from ghreview.community import build_graph, ics
+from ghreview.sentiment import repo_sentiment
 from ghreview.synthetic import random_corpus
 from ghreview.units import DAY
 
@@ -317,6 +322,77 @@ def test_commits_between_issues_matches_window_scan():
 
 def test_reference_time_is_latest_event(tiny_corpus):
     assert corpus_reference_time(tiny_corpus) == BASE + 130 * DAY
+
+
+# --- per-run index ---------------------------------------------------------
+
+
+def _latest_timestamp(corpus: Corpus) -> float:
+    stamps = [r.created_at for r in corpus.repos]
+    for repo in corpus.repos:
+        stamps += [c.created_at for c in repo.commits]
+        for issue in repo.issues:
+            stamps += [issue.created_at] + [c.created_at for c in issue.comments]
+            if issue.closed_at is not None:
+                stamps.append(issue.closed_at)
+    return max(stamps)
+
+
+def _assert_index_matches_direct(corpus: Corpus) -> None:
+    index = corpus_index(corpus)
+    assert corpus_index(corpus) is index
+    for repo in reversed(corpus.repos):  # read out of corpus order
+        entry = index[repo]
+        assert index[repo] is entry
+        assert entry.issues == sorted(repo.issues, key=lambda i: (i.created_at, i.id)), repo.id
+        assert entry.postings == reviewer_postings(repo.issues), repo.id
+        assert entry.received_comments == {i.id: received_comment_count(i) for i in repo.issues}
+        assert entry.sentiment == repo_sentiment(repo), repo.id
+        assert entry.ics_report == ics(build_graph(repo)), repo.id
+        direct = repo_metrics(repo)
+        assert entry.metrics() == direct, repo.id
+        assert entry.event_metrics == {k: v for k, v in direct.items() if k != "mean_sentiment"}
+    assert index.reference_time == corpus_reference_time(corpus) == _latest_timestamp(corpus)
+
+
+def test_index_matches_direct_computation_on_random_corpora():
+    for seed in range(30):
+        _assert_index_matches_direct(random_corpus(seed, n_repos=6))
+
+
+def test_index_sorts_issues_given_out_of_time_order():
+    owner, rev = User("own", 3), User("rev", 8)
+
+    def issue(n: int, day: int, reviewed: bool) -> Issue:
+        out = Issue(id=f"x/u#{n}", repo_id="x/u", opener=owner, created_at=BASE + day * DAY)
+        if reviewed:
+            out.comments.append(
+                Comment(issue_id=out.id, author=rev, created_at=out.created_at + 60.0, body="thanks")
+            )
+        return out
+
+    repo = Repository(
+        id="x/u", category=Category.RANDOM, created_at=float(BASE), owner=owner,
+        contributors=(owner,),
+        issues=[issue(3, 30, True), issue(1, 10, True), issue(2, 20, False)],
+        commits=[
+            Commit(repo_id="x/u", author=owner, created_at=BASE + day * DAY) for day in (25, 5, 15)
+        ],
+    )
+    solo = Repository(
+        id="x/solo", category=Category.ROS, created_at=float(BASE), owner=owner,
+        issues=[Issue(id="x/solo#1", repo_id="x/solo", opener=owner, created_at=BASE + 2 * DAY)],
+    )
+    corpus = Corpus(repos=[repo, solo])
+    _assert_index_matches_direct(corpus)
+    entry = corpus_index(corpus)[repo]
+    assert [i.id for i in entry.issues] == ["x/u#1", "x/u#2", "x/u#3"]
+    assert entry.event_metrics["days_to_first_issue"] == 10.0
+    assert entry.event_metrics["hours_between_issue_openings"] == 240.0
+    assert entry.event_metrics["commits_before_first_issue"] == 1.0
+    assert entry.event_metrics["commits_between_issues"] == 1.0  # days 15 and 25
+    assert entry.ics_report.ics == 0.5  # one e2 edge (#1-#3 share rev) over 3 - 1
+    assert corpus_index(corpus)[solo].ics_report.undefined
 
 
 # --- correlations ----------------------------------------------------------

@@ -15,11 +15,12 @@ from pathlib import Path
 
 import pytest
 
-from ghreview import __version__
+from ghreview import __version__, analytics, community
 from ghreview.archive import load_archive, save_archive
 from ghreview.cli import REPORT_FILES, main
 from ghreview.community import build_graph, ics
-from ghreview.models import Category, Corpus, Issue, Repository, User
+from ghreview.models import Category, Corpus, Issue, Repository, User, reviewer_postings
+from ghreview.synthetic import random_corpus
 from conftest import GOLDEN, TINY
 from fetch_fixture import TOOLS, WIDGETS, fixture_server
 
@@ -356,6 +357,17 @@ def test_fetch_manifest_counts_requests_and_revalidations(tmp_path):
     assert counters["not_modified"] == counters["requests"]  # warm: all 304s
 
 
+def test_fetch_into_missing_directory_fails_before_any_request(capsys, tmp_path):
+    archive = tmp_path / "missing" / "out.ndjson"
+    with fixture_server() as (state, base_url):
+        rc = main(["fetch", "--repo", TOOLS, "--base-url", base_url, "--out-archive", str(archive)])
+        assert state.requests == 0
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(archive) in err
+    assert ".tmp" not in err
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -451,6 +463,58 @@ def test_report_matches_committed_golden(tiny_path, tmp_path):
         got = (out / name).read_bytes()
         want = (GOLDEN / "report" / name).read_bytes()
         assert got == want, f"{name} diverged from the committed reference output"
+
+
+def test_report_manifest_counters(tiny_path, tmp_path):
+    assert _run_report(tiny_path, tmp_path / "default") == 0
+    # only labA/core opens 5 issues inside the assessment period (B opens 4, C 3)
+    assert _run_report(tiny_path, tmp_path / "strict", "--min-iap-issues", "5", "--ap", "0.5") == 0
+    per_category = {"Random": 1, "ROS": 1, "Popular": 1}
+    assert _manifest(tmp_path / "default")["counters"] == {
+        "repos": per_category,
+        "ics_undefined": {"Random": 0, "ROS": 0, "Popular": 0},  # scores 1.5, 2/3, 1.5
+        "sim_excluded": {"0.3": 0, "0.6": 0, "0.9": 0},
+    }
+    assert _manifest(tmp_path / "strict")["counters"]["sim_excluded"] == {"0.5": 2}
+
+
+@pytest.mark.parametrize("source", ["tiny", "synthetic"])
+def test_report_computes_each_repository_quantity_once(tmp_path, monkeypatch, source):
+    if source == "tiny":
+        archive = str(TINY)
+    else:  # four repos per category, so every correlation table is computed
+        archive = str(tmp_path / "synthetic.ndjson")
+        save_archive(random_corpus(5, n_repos=12), archive)
+    postings: list[str] = []
+    graphs: list[str] = []
+    reference_calls = []
+
+    def counted_postings(issues):
+        issues = list(issues)
+        postings.append(issues[0].repo_id)
+        return reviewer_postings(issues)
+
+    real_build_graph = community.build_graph
+    real_reference_time = analytics.corpus_reference_time
+
+    def counted_build_graph(repo, *args):
+        graphs.append(repo.id)
+        return real_build_graph(repo, *args)
+
+    def counted_reference_time(corpus):
+        reference_calls.append(1)
+        return real_reference_time(corpus)
+
+    for module in (analytics, community):
+        monkeypatch.setattr(module, "reviewer_postings", counted_postings)
+        monkeypatch.setattr(module, "build_graph", counted_build_graph)
+    monkeypatch.setattr(analytics, "corpus_reference_time", counted_reference_time)
+    assert _run_report(archive, tmp_path / "report") == 0
+    repo_ids = sorted(r.id for r in load_archive(archive).repos)
+    assert sorted(postings) == repo_ids
+    assert sorted(graphs) == repo_ids
+    # single-repo categories stop before any correlation reads the reference time
+    assert len(reference_calls) == (0 if source == "tiny" else 1)
 
 
 # --- console entry point ---------------------------------------------------

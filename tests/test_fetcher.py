@@ -282,6 +282,24 @@ def test_failed_cache_write_keeps_previous_cache(tmp_path, monkeypatch):
     assert [p.name for p in cache_dir.iterdir()] == ["etag_cache.json"]
 
 
+@pytest.mark.parametrize(
+    "fetch",
+    [
+        pytest.param(lambda plan: fetch_repository(WIDGETS, plan), id="repository"),
+        pytest.param(lambda plan: search_by_topic(SEARCH_TOPIC, plan), id="topic-search"),
+    ],
+)
+def test_cache_write_error_does_not_replace_the_fetch_error(tmp_path, monkeypatch, caplog, fetch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    with fixture_server(fail_after=1) as (_, base_url):
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(FetchError, match="HTTP 500"):
+            fetch(_plan(base_url, tmp_path / "cache"))
+    assert "disk full" in caplog.text  # the cache error is logged, not lost
+
+
 # --- rate budget -----------------------------------------------------------
 
 
