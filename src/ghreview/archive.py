@@ -29,6 +29,11 @@ from .models import (
     Rejection,
     Repository,
     User,
+    comment_rules,
+    commit_rules,
+    issue_rules,
+    repo_rules,
+    user_rules,
 )
 
 ARCHIVE_VERSION = 1
@@ -60,9 +65,7 @@ class ArchiveInvariantError(ArchiveError):
 
 
 def _parse_timestamp(value, line_no: int, field: str) -> float:
-    if isinstance(value, bool):
-        raise ArchiveParseError(line_no, f"field {field!r} must be a timestamp")
-    if isinstance(value, (int, float)):
+    if type(value) is int or type(value) is float:  # exact types: a bool is no timestamp
         if not math.isfinite(value):
             raise ArchiveParseError(line_no, f"field {field!r} must be a finite timestamp")
         return float(value)
@@ -77,34 +80,87 @@ def _parse_timestamp(value, line_no: int, field: str) -> float:
     raise ArchiveParseError(line_no, f"field {field!r} must be a timestamp")
 
 
-def _require(record: dict, field: str, line_no: int):
-    if field not in record:
-        raise ArchiveParseError(line_no, f"missing field {field!r} in {record.get('kind')} record")
-    return record[field]
+_REQUIRED = object()  # the default of a field every record of its kind must carry
+_TIMESTAMP = "timestamp"  # epoch seconds or an ISO-8601 string; written as epoch seconds
+
+# The archive format: per record kind, its fields in canonical write order as
+# (JSON key, model attribute, JSON type, default).  A ``list`` is a list of
+# logins; a ``str`` field whose attribute holds a User is written as its
+# login.  A field whose default is None may be null, which means absent.
+_FIELDS = {
+    "user": (
+        ("login", "login", str, _REQUIRED),
+        ("followers", "followers", int, 0),
+    ),
+    "repo": (
+        ("id", "id", str, _REQUIRED),
+        ("category", "category", str, _REQUIRED),
+        ("created_at", "created_at", _TIMESTAMP, _REQUIRED),
+        ("owner", "owner", str, _REQUIRED),
+        ("contributors", "contributors", list, ()),
+        ("stargazers", "stargazers", int, 0),
+        ("forks", "forks", int, 0),
+        ("watchers", "watchers", int, 0),
+    ),
+    "issue": (
+        ("id", "id", str, _REQUIRED),
+        ("repo", "repo_id", str, _REQUIRED),
+        ("opener", "opener", str, _REQUIRED),
+        ("created_at", "created_at", _TIMESTAMP, _REQUIRED),
+        ("has_linked_code", "has_linked_code", bool, False),
+        ("closed_at", "closed_at", _TIMESTAMP, None),
+        ("closer", "closer", str, None),
+    ),
+    "comment": (
+        ("issue", "issue_id", str, _REQUIRED),
+        ("author", "author", str, _REQUIRED),
+        ("created_at", "created_at", _TIMESTAMP, _REQUIRED),
+        ("body", "body", str, ""),
+    ),
+    "commit": (
+        ("repo", "repo_id", str, _REQUIRED),
+        ("author", "author", str, _REQUIRED),
+        ("created_at", "created_at", _TIMESTAMP, _REQUIRED),
+        ("lines_added", "lines_added", int, 0),
+        ("lines_removed", "lines_removed", int, 0),
+        ("issue", "issue_id", str, None),
+    ),
+}
+
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a bool", list: "a list of strings"}
 
 
-def _require_str(record: dict, field: str, line_no: int) -> str:
-    value = _require(record, field, line_no)
-    if not isinstance(value, str):
-        raise ArchiveParseError(line_no, f"field {field!r} must be a string")
-    return value
+def _read(record: dict, kind: str, line_no: int) -> list:
+    """The values of a ``kind`` record's fields, in ``_FIELDS`` order."""
+    values = []
+    for key, _, json_type, default in _FIELDS[kind]:
+        value = record.get(key, default)
+        if type(value) is json_type and json_type is not list:
+            pass
+        elif value is default:  # absent, or null where the default is None
+            if value is _REQUIRED:
+                raise ArchiveParseError(line_no, f"missing field {key!r} in {kind} record")
+        elif json_type is _TIMESTAMP:
+            value = _parse_timestamp(value, line_no, key)
+        elif type(value) is not json_type or not all(type(login) is str for login in value):
+            raise ArchiveParseError(line_no, f"field {key!r} must be {_TYPE_NAMES[json_type]}")
+        values.append(value)
+    return values
 
 
-def _require_int(record: dict, field: str, line_no: int, default=None) -> int:
-    value = record.get(field, default)
-    if value is None:
-        raise ArchiveParseError(line_no, f"missing field {field!r} in {record.get('kind')} record")
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ArchiveParseError(line_no, f"field {field!r} must be an integer")
-    return value
+def _dangling(line_no: int, record_id: str, key: str, what: str):
+    """Raise for a reference to a ``what`` that no record defines.
+
+    Callers write ``table.get(key) or _dangling(...)``: model objects are
+    always truthy, so this runs exactly when ``key`` is unknown.
+    """
+    raise ArchiveIntegrityError(line_no, record_id, key, f"reference to unknown {what}")
 
 
-def _optional(record: dict, field: str, line_no: int, kind: type, default):
-    """An optional field of one JSON type; absent means ``default``."""
-    value = record.get(field, default)
-    if not isinstance(value, kind):
-        raise ArchiveParseError(line_no, f"field {field!r} must be a {kind.__name__}")
-    return value
+def _enforce(broken: tuple, line_no: int, record_id: str) -> None:
+    """Raise on the first of the (field, rule) pairs a record breaks."""
+    if broken:
+        raise ArchiveInvariantError(line_no, record_id, broken[0][1])
 
 
 class _Loader:
@@ -113,12 +169,14 @@ class _Loader:
     def __init__(self, lenient: bool):
         self.lenient = lenient
         self.rejected: list[Rejection] = []
+        self.users: dict[str, User] = {}
+        self.repos: dict[str, Repository] = {}
+        self.issues: dict[str, Issue] = {}
 
-    def reject(self, line_no: int, reason: str, error: ArchiveError):
-        if self.lenient:
-            self.rejected.append(Rejection(line_no, reason))
-        else:
+    def reject(self, error: ArchiveError) -> None:
+        if not self.lenient:
             raise error
+        self.rejected.append(Rejection(error.line_no, str(error)))
 
     def load(self, path) -> Corpus:
         path = Path(path)
@@ -130,12 +188,10 @@ class _Loader:
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    err = ArchiveParseError(line_no, f"invalid JSON: {exc.msg}")
-                    self.reject(line_no, str(err), err)
+                    self.reject(ArchiveParseError(line_no, f"invalid JSON: {exc.msg}"))
                     continue
                 if not isinstance(record, dict) or not isinstance(record.get("kind"), str):
-                    err = ArchiveParseError(line_no, "record must be an object with a 'kind' field")
-                    self.reject(line_no, str(err), err)
+                    self.reject(ArchiveParseError(line_no, "record must be an object with a 'kind' field"))
                     continue
                 raw.append((line_no, record))
 
@@ -146,28 +202,33 @@ class _Loader:
         if version != ARCHIVE_VERSION:
             raise ArchiveParseError(meta_line, f"unsupported archive version: {version!r}")
 
-        by_kind: dict[str, list[tuple[int, dict]]] = {k: [] for k in ("user", "repo", "issue", "comment", "commit")}
+        by_kind: dict[str, list[tuple[int, dict]]] = {kind: [] for kind in _FIELDS}
         for line_no, record in raw[1:]:
             kind = record["kind"]
             if kind == "meta":
-                err = ArchiveParseError(line_no, "duplicate meta record")
-                self.reject(line_no, str(err), err)
-                continue
-            if kind not in by_kind:
-                err = ArchiveParseError(line_no, f"unknown record kind: {kind!r}")
-                self.reject(line_no, str(err), err)
-                continue
-            by_kind[kind].append((line_no, record))
+                self.reject(ArchiveParseError(line_no, "duplicate meta record"))
+            elif kind not in by_kind:
+                self.reject(ArchiveParseError(line_no, f"unknown record kind: {kind!r}"))
+            else:
+                by_kind[kind].append((line_no, record))
 
-        users = self._build_users(by_kind["user"])
-        repos = self._build_repos(by_kind["repo"], users)
-        issues = self._build_issues(by_kind["issue"], repos, users)
-        self._attach_comments(by_kind["comment"], issues, users, repos)
-        self._attach_commits(by_kind["commit"], repos, users, issues)
+        # kinds in dependency order: each record refers only to earlier kinds
+        for kind, add in (
+            ("user", self._add_user),
+            ("repo", self._add_repo),
+            ("issue", self._add_issue),
+            ("comment", self._add_comment),
+            ("commit", self._add_commit),
+        ):
+            for line_no, record in by_kind[kind]:
+                try:
+                    add(line_no, *_read(record, kind, line_no))
+                except ArchiveError as err:
+                    self.reject(err)
 
         corpus = Corpus(
-            repos=[r for _, r in sorted(repos.items())],
-            users=users,
+            repos=[r for _, r in sorted(self.repos.items())],
+            users=self.users,
             meta={k: v for k, v in meta.items() if k != "kind"},
             rejected=self.rejected,
         )
@@ -178,221 +239,60 @@ class _Loader:
                 issue.comments.sort(key=lambda c: (c.created_at, c.author.login))
         return corpus
 
-    def _build_users(self, records) -> dict[str, User]:
-        users: dict[str, User] = {}
-        for line_no, rec in records:
-            try:
-                login = _require_str(rec, "login", line_no)
-                followers = _require_int(rec, "followers", line_no, default=0)
-            except ArchiveParseError as err:
-                self.reject(line_no, str(err), err)
-                continue
-            if not login:
-                err = ArchiveInvariantError(line_no, "<user>", "login must be non-empty")
-                self.reject(line_no, str(err), err)
-                continue
-            if followers < 0:
-                err = ArchiveInvariantError(line_no, login, "followers must be >= 0")
-                self.reject(line_no, str(err), err)
-                continue
-            if login in users:
-                err = ArchiveInvariantError(line_no, login, "duplicate user login")
-                self.reject(line_no, str(err), err)
-                continue
-            users[login] = User(login=login, followers=followers)
-        return users
+    def _add_user(self, line_no, login, followers):
+        user = User(login=login, followers=followers)
+        _enforce(user_rules(user), line_no, login or "<user>")
+        if login in self.users:
+            raise ArchiveInvariantError(line_no, login, "duplicate user login")
+        self.users[login] = user
 
-    def _resolve_user(self, login: str, users, line_no: int, record_id: str) -> User | None:
-        user = users.get(login)
-        if user is None:
-            err = ArchiveIntegrityError(line_no, record_id, login, "reference to unknown user")
-            self.reject(line_no, str(err), err)
-        return user
+    def _add_repo(
+        self, line_no, repo_id, category, created_at, owner, contributors, stargazers, forks, watchers
+    ):
+        try:
+            category = Category.parse(category)
+        except ValueError:
+            pass  # repo_rules rejects the unparsed name
+        users = self.users
+        owner = users.get(owner) or _dangling(line_no, repo_id, owner, "user")
+        contributors = [users.get(login) or _dangling(line_no, repo_id, login, "user") for login in contributors]
+        repo = Repository(
+            id=repo_id,
+            category=category,
+            created_at=created_at,
+            owner=owner,
+            contributors=tuple(sorted(contributors, key=lambda u: u.login)),
+            stargazers=stargazers,
+            forks=forks,
+            watchers=watchers,
+        )
+        _enforce(repo_rules(repo, self.repos), line_no, repo_id)
+        self.repos[repo_id] = repo
 
-    def _build_repos(self, records, users) -> dict[str, Repository]:
-        repos: dict[str, Repository] = {}
-        for line_no, rec in records:
-            try:
-                repo_id = _require_str(rec, "id", line_no)
-                category_raw = _require_str(rec, "category", line_no)
-                created_at = _parse_timestamp(_require(rec, "created_at", line_no), line_no, "created_at")
-                owner_login = _require_str(rec, "owner", line_no)
-                stargazers = _require_int(rec, "stargazers", line_no, default=0)
-                forks = _require_int(rec, "forks", line_no, default=0)
-                watchers = _require_int(rec, "watchers", line_no, default=0)
-                contributor_logins = _optional(rec, "contributors", line_no, list, [])
-            except ArchiveParseError as err:
-                self.reject(line_no, str(err), err)
-                continue
-            try:
-                category = Category.parse(category_raw)
-            except ValueError:
-                err = ArchiveInvariantError(line_no, repo_id, f"unknown category {category_raw!r}")
-                self.reject(line_no, str(err), err)
-                continue
-            if min(stargazers, forks, watchers) < 0:
-                err = ArchiveInvariantError(line_no, repo_id, "counts must be >= 0")
-                self.reject(line_no, str(err), err)
-                continue
-            if repo_id in repos:
-                err = ArchiveInvariantError(line_no, repo_id, "duplicate repo id")
-                self.reject(line_no, str(err), err)
-                continue
-            owner = self._resolve_user(owner_login, users, line_no, repo_id)
-            if owner is None:
-                continue
-            contributors = []
-            ok = True
-            for login in contributor_logins:
-                user = self._resolve_user(login, users, line_no, repo_id)
-                if user is None:
-                    ok = False
-                    break
-                contributors.append(user)
-            if not ok:
-                continue
-            repos[repo_id] = Repository(
-                id=repo_id,
-                category=category,
-                created_at=created_at,
-                owner=owner,
-                contributors=tuple(sorted(contributors, key=lambda u: u.login)),
-                stargazers=stargazers,
-                forks=forks,
-                watchers=watchers,
-            )
-        return repos
+    def _add_issue(self, line_no, issue_id, repo_id, opener, created_at, has_linked_code, closed_at, closer):
+        users = self.users
+        repo = self.repos.get(repo_id) or _dangling(line_no, issue_id, repo_id, "repo")
+        opener = users.get(opener) or _dangling(line_no, issue_id, opener, "user")
+        if closer is not None:
+            closer = users.get(closer) or _dangling(line_no, issue_id, closer, "user")
+        issue = Issue(issue_id, repo_id, opener, created_at, closer, closed_at, has_linked_code)
+        _enforce(issue_rules(issue, repo, self.issues), line_no, issue_id)
+        self.issues[issue_id] = issue
+        repo.issues.append(issue)
 
-    def _build_issues(self, records, repos, users) -> dict[str, Issue]:
-        issues: dict[str, Issue] = {}
-        for line_no, rec in records:
-            try:
-                issue_id = _require_str(rec, "id", line_no)
-                repo_id = _require_str(rec, "repo", line_no)
-                opener_login = _require_str(rec, "opener", line_no)
-                created_at = _parse_timestamp(_require(rec, "created_at", line_no), line_no, "created_at")
-                has_linked_code = _optional(rec, "has_linked_code", line_no, bool, False)
-            except ArchiveParseError as err:
-                self.reject(line_no, str(err), err)
-                continue
-            repo = repos.get(repo_id)
-            if repo is None:
-                err = ArchiveIntegrityError(line_no, issue_id, repo_id, "reference to unknown repo")
-                self.reject(line_no, str(err), err)
-                continue
-            opener = self._resolve_user(opener_login, users, line_no, issue_id)
-            if opener is None:
-                continue
-            closed_at = rec.get("closed_at")
-            if closed_at is not None:
-                try:
-                    closed_at = _parse_timestamp(closed_at, line_no, "closed_at")
-                except ArchiveParseError as err:
-                    self.reject(line_no, str(err), err)
-                    continue
-            closer_login = rec.get("closer")
-            closer = None
-            if closer_login is not None:
-                closer = self._resolve_user(closer_login, users, line_no, issue_id)
-                if closer is None:
-                    continue
-            if (closer is None) != (closed_at is None):
-                err = ArchiveInvariantError(line_no, issue_id, "closer present iff closed_at present")
-                self.reject(line_no, str(err), err)
-                continue
-            if closed_at is not None and closed_at < created_at:
-                err = ArchiveInvariantError(line_no, issue_id, "closed_at must be >= created_at")
-                self.reject(line_no, str(err), err)
-                continue
-            if created_at < repo.created_at:
-                err = ArchiveInvariantError(line_no, issue_id, "issue precedes repository created_at")
-                self.reject(line_no, str(err), err)
-                continue
-            if issue_id in issues:
-                err = ArchiveInvariantError(line_no, issue_id, "duplicate issue id")
-                self.reject(line_no, str(err), err)
-                continue
-            issue = Issue(
-                id=issue_id,
-                repo_id=repo_id,
-                opener=opener,
-                created_at=created_at,
-                closer=closer,
-                closed_at=closed_at,
-                has_linked_code=has_linked_code,
-            )
-            issues[issue_id] = issue
-            repo.issues.append(issue)
-        return issues
+    def _add_comment(self, line_no, issue_id, author, created_at, body):
+        issue = self.issues.get(issue_id) or _dangling(line_no, f"<comment line {line_no}>", issue_id, "issue")
+        author = self.users.get(author) or _dangling(line_no, issue_id, author, "user")
+        comment = Comment(issue_id, author, created_at, body)
+        _enforce(comment_rules(comment, issue), line_no, issue_id)
+        issue.comments.append(comment)
 
-    def _attach_comments(self, records, issues, users, repos):
-        for line_no, rec in records:
-            try:
-                issue_id = _require_str(rec, "issue", line_no)
-                author_login = _require_str(rec, "author", line_no)
-                created_at = _parse_timestamp(_require(rec, "created_at", line_no), line_no, "created_at")
-                body = _optional(rec, "body", line_no, str, "")
-            except ArchiveParseError as err:
-                self.reject(line_no, str(err), err)
-                continue
-            issue = issues.get(issue_id)
-            if issue is None:
-                err = ArchiveIntegrityError(line_no, f"<comment line {line_no}>", issue_id, "reference to unknown issue")
-                self.reject(line_no, str(err), err)
-                continue
-            author = self._resolve_user(author_login, users, line_no, issue_id)
-            if author is None:
-                continue
-            if created_at < issue.created_at:
-                err = ArchiveInvariantError(line_no, issue_id, "comment precedes issue created_at")
-                self.reject(line_no, str(err), err)
-                continue
-            issue.comments.append(
-                Comment(issue_id=issue_id, author=author, created_at=created_at, body=body)
-            )
-
-    def _attach_commits(self, records, repos, users, issues):
-        for line_no, rec in records:
-            try:
-                repo_id = _require_str(rec, "repo", line_no)
-                author_login = _require_str(rec, "author", line_no)
-                created_at = _parse_timestamp(_require(rec, "created_at", line_no), line_no, "created_at")
-                lines_added = _require_int(rec, "lines_added", line_no, default=0)
-                lines_removed = _require_int(rec, "lines_removed", line_no, default=0)
-            except ArchiveParseError as err:
-                self.reject(line_no, str(err), err)
-                continue
-            repo = repos.get(repo_id)
-            if repo is None:
-                err = ArchiveIntegrityError(line_no, f"<commit line {line_no}>", repo_id, "reference to unknown repo")
-                self.reject(line_no, str(err), err)
-                continue
-            author = self._resolve_user(author_login, users, line_no, repo_id)
-            if author is None:
-                continue
-            if lines_added < 0 or lines_removed < 0:
-                err = ArchiveInvariantError(line_no, repo_id, "line counts must be >= 0")
-                self.reject(line_no, str(err), err)
-                continue
-            if created_at < repo.created_at:
-                err = ArchiveInvariantError(line_no, repo_id, "commit precedes repository created_at")
-                self.reject(line_no, str(err), err)
-                continue
-            issue_id = rec.get("issue")
-            if issue_id is not None and issue_id not in issues:
-                err = ArchiveIntegrityError(line_no, f"<commit line {line_no}>", issue_id, "reference to unknown issue")
-                self.reject(line_no, str(err), err)
-                continue
-            repo.commits.append(
-                Commit(
-                    repo_id=repo_id,
-                    author=author,
-                    created_at=created_at,
-                    lines_added=lines_added,
-                    lines_removed=lines_removed,
-                    issue_id=issue_id,
-                )
-            )
+    def _add_commit(self, line_no, repo_id, author, created_at, lines_added, lines_removed, issue_id):
+        repo = self.repos.get(repo_id) or _dangling(line_no, f"<commit line {line_no}>", repo_id, "repo")
+        author = self.users.get(author) or _dangling(line_no, repo_id, author, "user")
+        commit = Commit(repo_id, author, created_at, lines_added, lines_removed, issue_id)
+        _enforce(commit_rules(commit, repo, self.issues), line_no, repo_id)
+        repo.commits.append(commit)
 
 
 def load_archive(path, lenient: bool = False) -> Corpus:
@@ -411,8 +311,24 @@ def _ts_out(value: float):
     return int(value) if float(value).is_integer() else value
 
 
-def _dump(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+_dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
+def _encode(kind: str, obj) -> str:
+    """One archive line for a model object, its fields in ``_FIELDS`` order."""
+    record = {"kind": kind}
+    for key, attr, json_type, _ in _FIELDS[kind]:
+        value = getattr(obj, attr)
+        if value is None:
+            continue
+        if json_type is _TIMESTAMP:
+            value = _ts_out(value)
+        elif json_type is list:
+            value = sorted(user.login for user in value)
+        elif isinstance(value, User):
+            value = value.login
+        record[key] = value
+    return _dump(record)
 
 
 def save_archive(corpus: Corpus, path) -> None:
@@ -422,64 +338,16 @@ def save_archive(corpus: Corpus, path) -> None:
     over it, so a failed save leaves any previous archive intact.
     """
     lines = [_dump({"kind": "meta", "version": ARCHIVE_VERSION, **corpus.meta})]
-    for login in sorted(corpus.users):
-        user = corpus.users[login]
-        lines.append(_dump({"kind": "user", "login": user.login, "followers": user.followers}))
-    for repo in sorted(corpus.repos, key=lambda r: r.id):
-        lines.append(
-            _dump(
-                {
-                    "kind": "repo",
-                    "id": repo.id,
-                    "category": repo.category.value,
-                    "created_at": _ts_out(repo.created_at),
-                    "owner": repo.owner.login,
-                    "contributors": sorted(u.login for u in repo.contributors),
-                    "stargazers": repo.stargazers,
-                    "forks": repo.forks,
-                    "watchers": repo.watchers,
-                }
-            )
-        )
-    for repo in sorted(corpus.repos, key=lambda r: r.id):
-        for issue in repo.issues_by_time():
-            rec = {
-                "kind": "issue",
-                "id": issue.id,
-                "repo": repo.id,
-                "opener": issue.opener.login,
-                "created_at": _ts_out(issue.created_at),
-                "has_linked_code": issue.has_linked_code,
-            }
-            if issue.closed_at is not None:
-                rec["closed_at"] = _ts_out(issue.closed_at)
-                rec["closer"] = issue.closer.login
-            lines.append(_dump(rec))
-        for issue in repo.issues_by_time():
+    lines += [_encode("user", corpus.users[login]) for login in sorted(corpus.users)]
+    repos = sorted(corpus.repos, key=lambda r: r.id)
+    lines += [_encode("repo", repo) for repo in repos]
+    for repo in repos:
+        issues = repo.issues_by_time()
+        lines += [_encode("issue", issue) for issue in issues]
+        for issue in issues:
             for comment in sorted(issue.comments, key=lambda c: (c.created_at, c.author.login)):
-                lines.append(
-                    _dump(
-                        {
-                            "kind": "comment",
-                            "issue": issue.id,
-                            "author": comment.author.login,
-                            "created_at": _ts_out(comment.created_at),
-                            "body": comment.body,
-                        }
-                    )
-                )
-        for commit in repo.commits_by_time():
-            rec = {
-                "kind": "commit",
-                "repo": repo.id,
-                "author": commit.author.login,
-                "created_at": _ts_out(commit.created_at),
-                "lines_added": commit.lines_added,
-                "lines_removed": commit.lines_removed,
-            }
-            if commit.issue_id is not None:
-                rec["issue"] = commit.issue_id
-            lines.append(_dump(rec))
+                lines.append(_encode("comment", comment))
+        lines += [_encode("commit", commit) for commit in repo.commits_by_time()]
     with _atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 

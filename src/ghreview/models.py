@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Container, Iterable
 
 
 class Category(str, enum.Enum):
@@ -165,8 +165,67 @@ def received_comment_count(issue: Issue) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Invariant validation
+# Invariants
 # ---------------------------------------------------------------------------
+# One rule function per object kind returns the rules the object breaks as
+# (field, rule) pairs, or ``()`` when it breaks none.  ``load_archive``
+# rejects a record on its first broken rule; ``validate`` reports them all.
+# ``taken`` holds the ids already in use.
+
+Broken = tuple[tuple[str, str], ...]
+
+
+def user_rules(user: User) -> Broken:
+    broken: Broken = ()
+    if not user.login:
+        broken += (("login", "login must be non-empty"),)
+    if user.followers < 0:
+        broken += (("followers", "followers must be >= 0"),)
+    return broken
+
+
+def repo_rules(repo: Repository, taken: Container[str]) -> Broken:
+    broken: Broken = ()
+    if not isinstance(repo.category, Category):
+        broken += (("category", f"unknown category {repo.category!r}"),)
+    for name in ("stargazers", "forks", "watchers"):
+        if getattr(repo, name) < 0:
+            broken += ((name, f"{name} must be >= 0"),)
+    if repo.id in taken:
+        broken += (("id", "duplicate repo id"),)
+    return broken
+
+
+def issue_rules(issue: Issue, repo: Repository, taken: Container[str]) -> Broken:
+    broken: Broken = ()
+    if (issue.closer is None) != (issue.closed_at is None):
+        broken += (("closer", "closer present iff closed_at present"),)
+    if issue.closed_at is not None and issue.closed_at < issue.created_at:
+        broken += (("closed_at", "closed_at must be >= created_at"),)
+    if issue.created_at < repo.created_at:
+        broken += (("created_at", "issue precedes repository created_at"),)
+    if issue.id in taken:
+        broken += (("id", "duplicate issue id"),)
+    return broken
+
+
+def comment_rules(comment: Comment, issue: Issue) -> Broken:
+    if comment.created_at < issue.created_at:
+        return (("created_at", "comment precedes issue created_at"),)
+    return ()
+
+
+def commit_rules(commit: Commit, repo: Repository, issue_ids: Container[str]) -> Broken:
+    """``issue_ids`` holds every issue id in the corpus, so links may cross repos."""
+    broken: Broken = ()
+    for name in ("lines_added", "lines_removed"):
+        if getattr(commit, name) < 0:
+            broken += ((name, "line counts must be >= 0"),)
+    if commit.created_at < repo.created_at:
+        broken += (("created_at", "commit precedes repository created_at"),)
+    if commit.issue_id is not None and commit.issue_id not in issue_ids:
+        broken += (("issue_id", f"commit links unknown issue {commit.issue_id}"),)
+    return broken
 
 
 @dataclass(frozen=True)
@@ -187,45 +246,39 @@ def validate(corpus: Corpus) -> list[Violation]:
     out: list[Violation] = []
     seen_logins: dict[str, int] = {}
 
+    def report(record_id: str, broken: Broken) -> None:
+        for field_name, rule in broken:
+            out.append(Violation(record_id, field_name, rule))
+
     def check_user(user: User, where: str) -> None:
-        if not user.login:
-            out.append(Violation(where, "login", "login must be non-empty"))
-        if user.followers < 0:
-            out.append(Violation(user.login or where, "followers", "followers must be >= 0"))
         prev = seen_logins.get(user.login)
-        if prev is not None and prev != user.followers:
+        if prev is None:
+            seen_logins[user.login] = user.followers
+            report(user.login or where, user_rules(user))
+        elif prev != user.followers:
             out.append(
                 Violation(user.login, "login", "login not unique within corpus (conflicting follower counts)")
             )
-        seen_logins[user.login] = user.followers
 
     for user in corpus.users.values():
         check_user(user, "<corpus user table>")
 
+    issue_ids = {issue.id for repo in corpus.repos for issue in repo.issues}
+    seen_repo_ids: set[str] = set()
     seen_issue_ids: set[str] = set()
     for repo in corpus.repos:
-        if not isinstance(repo.category, Category):
-            out.append(Violation(repo.id, "category", "category must be Random, ROS or Popular"))
-        for fname, value in (("stargazers", repo.stargazers), ("forks", repo.forks), ("watchers", repo.watchers)):
-            if value < 0:
-                out.append(Violation(repo.id, fname, f"{fname} must be >= 0"))
+        report(repo.id, repo_rules(repo, seen_repo_ids))
+        seen_repo_ids.add(repo.id)
         check_user(repo.owner, repo.id)
         for u in repo.contributors:
             check_user(u, repo.id)
 
         for issue in repo.issues:
-            if issue.id in seen_issue_ids:
-                out.append(Violation(issue.id, "id", "issue id not unique within corpus"))
+            report(issue.id, issue_rules(issue, repo, seen_issue_ids))
             seen_issue_ids.add(issue.id)
             check_user(issue.opener, issue.id)
             if issue.repo_id != repo.id:
                 out.append(Violation(issue.id, "repo", f"issue attached to {repo.id} but points at {issue.repo_id}"))
-            if issue.created_at < repo.created_at:
-                out.append(Violation(issue.id, "created_at", "event precedes repository created_at"))
-            if issue.closed_at is not None and issue.closed_at < issue.created_at:
-                out.append(Violation(issue.id, "closed_at", "closed_at must be >= created_at"))
-            if (issue.closer is None) != (issue.closed_at is None):
-                out.append(Violation(issue.id, "closer", "closer present iff closed_at present"))
             if issue.closer is not None:
                 check_user(issue.closer, issue.id)
             for comment in issue.comments:
@@ -234,22 +287,12 @@ def validate(corpus: Corpus) -> list[Violation]:
                     out.append(
                         Violation(issue.id, "comments", f"comment points at {comment.issue_id}, not its issue")
                     )
-                if comment.created_at < issue.created_at:
-                    out.append(Violation(issue.id, "comments", "comment precedes issue created_at"))
-                if comment.created_at < repo.created_at:
-                    out.append(Violation(issue.id, "comments", "event precedes repository created_at"))
+                report(issue.id, comment_rules(comment, issue))
 
         for commit in repo.commits:
             check_user(commit.author, repo.id)
             if commit.repo_id != repo.id:
                 out.append(Violation(repo.id, "commits", f"commit points at {commit.repo_id}, not its repo"))
-            if commit.created_at < repo.created_at:
-                out.append(Violation(repo.id, "commits", "event precedes repository created_at"))
-            if commit.lines_added < 0:
-                out.append(Violation(repo.id, "lines_added", "lines_added must be >= 0"))
-            if commit.lines_removed < 0:
-                out.append(Violation(repo.id, "lines_removed", "lines_removed must be >= 0"))
-            if commit.issue_id is not None and commit.issue_id not in seen_issue_ids:
-                out.append(Violation(repo.id, "commits", f"commit links unknown issue {commit.issue_id}"))
+            report(repo.id, commit_rules(commit, repo, issue_ids))
 
     return out

@@ -16,7 +16,7 @@ from ghreview.archive import (
     load_archive,
     save_archive,
 )
-from ghreview.models import Category
+from ghreview.models import Category, Rejection
 from ghreview.synthetic import random_corpus
 
 META = '{"kind":"meta","version":1}'
@@ -99,6 +99,27 @@ def test_save_load_save_is_identity(seed, tmp_path_factory):
     save_archive(corpus, first)
     save_archive(load_archive(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_optional_fields_are_saved_in_canonical_form(tmp_path):
+    closed_null = (
+        '{"kind":"issue","id":"one/repo#2","repo":"one/repo","opener":"ann","created_at":300,'
+        '"has_linked_code":true,"closed_at":null,"closer":null}'
+    )
+    linked_commit = (
+        '{"kind":"commit","repo":"one/repo","author":"bob","created_at":400,'
+        '"lines_added":5,"lines_removed":1,"issue":"one/repo#2"}'
+    )
+    path = _write(tmp_path, META, USER_ANN, USER_BOB, REPO_ONE, linked_commit, closed_null, ISSUE_ONE)
+    corpus = load_archive(path)
+    assert corpus.repos[0].commits[0].issue_id == "one/repo#2"
+    first, second = tmp_path / "first.ndjson", tmp_path / "second.ndjson"
+    save_archive(corpus, first)
+    open_again = closed_null.replace(',"closed_at":null,"closer":null', "")
+    canonical = [META, USER_ANN, USER_BOB, REPO_ONE, ISSUE_ONE, open_again, linked_commit]
+    assert first.read_text(encoding="utf-8") == "\n".join(canonical) + "\n"
+    save_archive(load_archive(first), second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_failed_save_keeps_previous_archive(tiny_corpus, tmp_path, monkeypatch):
@@ -217,6 +238,23 @@ def test_unsupported_version_raises(tmp_path):
             ArchiveParseError,
             "'contributors' must be a list",
         ),
+        (
+            '{"kind":"issue","id":"one/repo#9","repo":"one/repo","opener":"ann","created_at":300,'
+            '"closed_at":400,"closer":["ann"]}',
+            ArchiveParseError,
+            "'closer' must be a string",
+        ),
+        (
+            '{"kind":"commit","repo":"one/repo","author":"ann","created_at":500,"issue":["x"]}',
+            ArchiveParseError,
+            "'issue' must be a string",
+        ),
+        (
+            '{"kind":"repo","id":"x/y","category":"Random","created_at":1,"owner":"ann",'
+            '"contributors":[{"l":1}]}',
+            ArchiveParseError,
+            "'contributors' must be a list of strings",
+        ),
     ],
 )
 def test_strict_load_raises_with_line_number(tmp_path, bad_line, error, fragment):
@@ -224,6 +262,8 @@ def test_strict_load_raises_with_line_number(tmp_path, bad_line, error, fragment
     with pytest.raises(error, match=fragment) as exc_info:
         load_archive(path)
     assert exc_info.value.line_no == 6
+    corpus = load_archive(path, lenient=True)
+    assert corpus.rejected == [Rejection(6, str(exc_info.value))]
 
 
 def test_duplicate_repo_id_raises(tmp_path):
