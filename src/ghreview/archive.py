@@ -66,9 +66,13 @@ class ArchiveInvariantError(ArchiveError):
 
 def _parse_timestamp(value, line_no: int, field: str) -> float:
     if type(value) is int or type(value) is float:  # exact types: a bool is no timestamp
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond float range
+            value = math.inf
         if not math.isfinite(value):
             raise ArchiveParseError(line_no, f"field {field!r} must be a finite timestamp")
-        return float(value)
+        return value
     if isinstance(value, str):
         try:
             dt = datetime.fromisoformat(value.replace("Z", "+00:00"))

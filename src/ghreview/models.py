@@ -250,7 +250,11 @@ def validate(corpus: Corpus) -> list[Violation]:
         for field_name, rule in broken:
             out.append(Violation(record_id, field_name, rule))
 
-    def check_user(user: User, where: str) -> None:
+    def check_user(user: User, where: str, field_name: str | None = None) -> None:
+        """``field_name`` names the field of record ``where`` that refers to ``user``."""
+        if field_name is not None and user.login not in corpus.users:
+            # save_archive writes only the user table, so load_archive would reject this
+            out.append(Violation(where, field_name, f"reference to unknown user {user.login}"))
         prev = seen_logins.get(user.login)
         if prev is None:
             seen_logins[user.login] = user.followers
@@ -269,20 +273,20 @@ def validate(corpus: Corpus) -> list[Violation]:
     for repo in corpus.repos:
         report(repo.id, repo_rules(repo, seen_repo_ids))
         seen_repo_ids.add(repo.id)
-        check_user(repo.owner, repo.id)
+        check_user(repo.owner, repo.id, "owner")
         for u in repo.contributors:
-            check_user(u, repo.id)
+            check_user(u, repo.id, "contributors")
 
         for issue in repo.issues:
             report(issue.id, issue_rules(issue, repo, seen_issue_ids))
             seen_issue_ids.add(issue.id)
-            check_user(issue.opener, issue.id)
+            check_user(issue.opener, issue.id, "opener")
             if issue.repo_id != repo.id:
                 out.append(Violation(issue.id, "repo", f"issue attached to {repo.id} but points at {issue.repo_id}"))
             if issue.closer is not None:
-                check_user(issue.closer, issue.id)
+                check_user(issue.closer, issue.id, "closer")
             for comment in issue.comments:
-                check_user(comment.author, issue.id)
+                check_user(comment.author, issue.id, "comments")
                 if comment.issue_id != issue.id:
                     out.append(
                         Violation(issue.id, "comments", f"comment points at {comment.issue_id}, not its issue")
@@ -290,7 +294,7 @@ def validate(corpus: Corpus) -> list[Violation]:
                 report(issue.id, comment_rules(comment, issue))
 
         for commit in repo.commits:
-            check_user(commit.author, repo.id)
+            check_user(commit.author, repo.id, "commits")
             if commit.repo_id != repo.id:
                 out.append(Violation(repo.id, "commits", f"commit points at {commit.repo_id}, not its repo"))
             report(repo.id, commit_rules(commit, repo, issue_ids))

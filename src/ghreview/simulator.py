@@ -13,18 +13,19 @@ so results are reproducible across processes and machines.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from itertools import compress, islice
 
 from .models import Corpus, Repository
 from .temporal import (
     ALPHA_DEFAULT,
     Distribution,
-    RunningMedian,
     classify_gaps,
     distribution_of,
     gaps_from_times,
@@ -109,6 +110,28 @@ class SimEvent:
 
 
 @dataclass(frozen=True)
+class _Before:
+    """The part of one repository's run that no acceptance probability changes.
+
+    ``real_times`` holds the horizon-clipped openings inside the assessment
+    period, then the later ones, replayed or generated; the first ``n_iap``
+    are the period's.  ``iap_gaps`` are that period's positive gaps, sorted:
+    they seed the notifier's running median.  ``distribution`` classifies
+    the real series.  A sweep computes this once per repository and shares
+    it, read-only, between the runs at every acceptance probability.
+    """
+
+    repo_id: str
+    iap_end: float
+    horizon_end: float
+    exclusion: str | None
+    real_times: tuple[float, ...] = ()
+    n_iap: int = 0
+    iap_gaps: tuple[float, ...] = ()
+    distribution: Distribution | None = None
+
+
+@dataclass(frozen=True)
 class SimResult:
     """One repository's run under one config.  The event log is replayed when
     first read: the RNG is keyed by seed and repo id, so the replay is exact."""
@@ -123,25 +146,30 @@ class SimResult:
     after: Distribution | None = None
     injected_only: Distribution | None = None
     final_idm: float | None = None
-    _repo: Repository | None = field(default=None, repr=False, compare=False)
+    n_fires: int = 0  # notifications fired; len(injected_times) of them were accepted
+    _before: _Before | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def events(self) -> tuple[SimEvent, ...]:
         sink: list[SimEvent] = []
-        if self._repo is not None:
-            _notify(self._repo, self.config, sink)
+        if self._before is not None:
+            _notify(self._before, self.config, sink)
         return tuple(sink)
 
 
+def _median_of_sorted(xs: list[float]) -> float | None:
+    n = len(xs)
+    if n == 0:
+        return None
+    mid = n >> 1
+    return xs[mid] if n & 1 else 0.5 * (xs[mid - 1] + xs[mid])
+
+
 def _generative_times(
-    iap_times: list[float], iap_end: float, horizon_end: float, rng: random.Random
+    gaps: list[float], t: float, iap_end: float, horizon_end: float, rng: random.Random
 ) -> list[float]:
-    """Synthesize post-IAP issue times by resampling observed IAP gaps."""
-    gaps = [b - a for a, b in zip(iap_times, iap_times[1:]) if b - a > 0]
-    if not gaps:
-        return []
+    """Synthesize post-IAP issue times after ``t`` by resampling the IAP's positive gaps."""
     out: list[float] = []
-    t = iap_times[-1]
     while True:
         t += rng.choice(gaps)
         if t > horizon_end:
@@ -151,125 +179,142 @@ def _generative_times(
     return out
 
 
-def _notify(
-    repo: Repository, config: SimConfig, sink: list[SimEvent] | None = None
-) -> str | tuple[list[float], list[float], float]:
-    """Run the notifier over one repository, appending its events to ``sink`` if given.
-
-    Returns the exclusion reason, or the real and injected times and the final median.
-    """
+def _before_side(repo: Repository, config: SimConfig) -> _Before:
+    """Everything of a run that the acceptance probability leaves unchanged."""
     iap_end = repo.created_at + config.iap
     horizon_end = repo.created_at + config.horizon
     all_real = [i.created_at for i in repo.issues_by_time() if i.created_at <= horizon_end]
-    iap_times = [t for t in all_real if t <= iap_end]
-    if len(iap_times) < config.min_iap_issues:
-        return (
-            f"{len(iap_times)} issues inside the assessment period, "
-            f"need {config.min_iap_issues}"
-        )
-
-    rng = random.Random(f"{config.seed}:{repo.id}")
-    median = RunningMedian()
-    n_events = 0
-    prev_time: float | None = None
-
-    def record_issue(time: float, kind: EventKind) -> None:
-        nonlocal prev_time, n_events
-        if prev_time is not None:
-            median.add_gap(time - prev_time)
-        prev_time = time
-        n_events += 1
-        if sink is not None:
-            sink.append(SimEvent(time=time, kind=kind, idm_at_event=median.value()))
-
-    for t in iap_times:
-        record_issue(t, EventKind.REAL_ISSUE)
-
-    idm_current = median.value()
-    if idm_current is None:
-        return "median undefined: no positive gap inside the assessment period"
-
+    n_iap = bisect.bisect_right(all_real, iap_end)
+    if n_iap < config.min_iap_issues:
+        reason = f"{n_iap} issues inside the assessment period, need {config.min_iap_issues}"
+        return _Before(repo.id, iap_end, horizon_end, reason)
+    iap_times = all_real[:n_iap]
+    iap_gaps = [d for d in gaps_from_times(iap_times) if d > 0]
+    if not iap_gaps:
+        reason = "median undefined: no positive gap inside the assessment period"
+        return _Before(repo.id, iap_end, horizon_end, reason)
     if config.generative:
         gen_rng = random.Random(f"{config.seed}:{repo.id}:gen")
-        post_real = _generative_times(iap_times, iap_end, horizon_end, gen_rng)
+        post_real = _generative_times(iap_gaps, iap_times[-1], iap_end, horizon_end, gen_rng)
     else:
-        post_real = [t for t in all_real if t > iap_end]
+        post_real = all_real[n_iap:]
+    real_times = tuple(iap_times + post_real)
+    _, before = classify_gaps(gaps_from_times(real_times), alpha=config.alpha)
+    return _Before(
+        repo.id, iap_end, horizon_end, None, real_times, n_iap, tuple(sorted(iap_gaps)), before
+    )
 
+
+def _notify(
+    before: _Before, config: SimConfig, sink: list[SimEvent] | None = None
+) -> tuple[list[float], list[float], float, int]:
+    """Run the notifier over one repository, appending its events to ``sink`` if given.
+
+    Returns every issue time, real and injected, in the order the loop met
+    them (time order), the injected times, the final median and the number
+    of fires.  ``before`` is read, never changed.
+    """
+    real = before.real_times
+    n_real = len(real)
+    i = before.n_iap
+    merged = list(real[:i])
+    if sink is not None:
+        seen: list[float] = []
+        for k, t in enumerate(merged):
+            if k and t - merged[k - 1] > 0:
+                bisect.insort(seen, t - merged[k - 1])
+            sink.append(SimEvent(t, EventKind.REAL_ISSUE, _median_of_sorted(seen)))
+
+    gaps = list(before.iap_gaps)  # a copy: every run starts from the shared seed
+    idm = _median_of_sorted(gaps)
+    iap_end, horizon_end = before.iap_end, before.horizon_end
+    ap, jitter, max_events = config.acceptance_probability, config.jitter, config.max_events
+    rng = random.Random(f"{config.seed}:{before.repo_id}")
+    draw = rng.random
+    insort = bisect.insort
     injected: list[float] = []
-    real_index = 0
-
-    def arm(base: float) -> float:
-        wait = idm_current
-        if config.jitter > 0:
-            wait = max(0.0, wait + rng.uniform(-config.jitter, config.jitter))
-        # the notifier is dormant until the assessment period ends
-        return max(base + wait, iap_end)
-
-    assert prev_time is not None
-    next_fire = arm(prev_time)
+    n_events = i
+    n_fires = 0
+    base = merged[-1]
     while True:
-        if n_events > config.max_events:
-            raise SimulationOverrunError(
-                f"{repo.id}: event count exceeded {config.max_events}"
-            )
-        next_real = post_real[real_index] if real_index < len(post_real) else None
+        # arm the notifier from the last issue or fire
+        wait = idm
+        if jitter > 0:
+            wait = max(0.0, wait + rng.uniform(-jitter, jitter))
+        fire = base + wait
+        if fire < iap_end:  # the notifier is dormant until the assessment period ends
+            fire = iap_end
+        if n_events > max_events:
+            raise SimulationOverrunError(f"{before.repo_id}: event count exceeded {max_events}")
         # an issue at or before the scheduled fire suppresses the notification
-        if next_real is not None and next_real <= next_fire:
-            record_issue(next_real, EventKind.REAL_ISSUE)
-            real_index += 1
-            idm_current = median.value() or idm_current
-            next_fire = arm(next_real)
-            continue
-        if next_fire > horizon_end:
-            break
-        accepted = rng.random() < config.acceptance_probability
-        n_events += 2
+        if i < n_real and real[i] <= fire:
+            base = real[i]
+            i += 1
+            kind = EventKind.REAL_ISSUE
+        else:
+            if fire > horizon_end:
+                break
+            accepted = draw() < ap
+            n_fires += 1
+            n_events += 2
+            base = fire
+            if sink is not None:
+                outcome = EventKind.NOTIFICATION_ACCEPTED if accepted else EventKind.NOTIFICATION_IGNORED
+                sink.append(SimEvent(fire, EventKind.NOTIFICATION_FIRED, idm))
+                sink.append(SimEvent(fire, outcome, idm))
+            if not accepted:
+                continue
+            injected.append(fire)
+            kind = EventKind.INJECTED_ISSUE
+        # record the issue at ``base``: fold its gap into the running median
+        d = base - merged[-1]
+        merged.append(base)
+        n_events += 1
+        if d > 0:
+            insort(gaps, d)
+            n = len(gaps)
+            mid = n >> 1
+            idm = gaps[mid] if n & 1 else 0.5 * (gaps[mid - 1] + gaps[mid])
         if sink is not None:
-            outcome = EventKind.NOTIFICATION_ACCEPTED if accepted else EventKind.NOTIFICATION_IGNORED
-            sink.append(SimEvent(next_fire, EventKind.NOTIFICATION_FIRED, idm_current))
-            sink.append(SimEvent(next_fire, outcome, idm_current))
-        if accepted:
-            injected.append(next_fire)
-            record_issue(next_fire, EventKind.INJECTED_ISSUE)
-            idm_current = median.value() or idm_current
-        next_fire = arm(next_fire)
+            sink.append(SimEvent(base, kind, idm))
 
-    return iap_times + post_real, injected, idm_current
+    return merged, injected, idm, n_fires
 
 
-def simulate(repo: Repository, config: SimConfig) -> SimResult:
+def simulate(repo: Repository, config: SimConfig, *, _before: _Before | None = None) -> SimResult:
     """Replay one repository under the notification mechanism.
 
     Repositories with fewer than min_iap_issues issues inside the IAP are
     returned excluded rather than failing, mirroring the corpus-cleaning
-    rule that sparse early activity is noise.
+    rule that sparse early activity is noise.  ``simulate_corpus`` passes
+    the before side it shares between acceptance probabilities.
     """
-    run = _notify(repo, config)
-    if isinstance(run, str):
-        return SimResult(repo_id=repo.id, config=config, excluded=True, exclusion_reason=run)
-    real_times, injected, final_idm = run
-    merged = sorted(real_times + injected)
-    _, before = classify_gaps(gaps_from_times(real_times), alpha=config.alpha)
+    before = _before if _before is not None else _before_side(repo, config)
+    if before.exclusion is not None:
+        return SimResult(
+            repo_id=repo.id, config=config, excluded=True, exclusion_reason=before.exclusion
+        )
+    merged, injected, final_idm, n_fires = _notify(before, config)
     merged_labels, after = classify_gaps(gaps_from_times(merged), alpha=config.alpha)
 
-    injected_set = set(injected)
-    injected_labels = [
-        label for label, end in zip(merged_labels, merged[1:]) if end in injected_set
-    ]
-    injected_only = distribution_of(injected_labels) if injected_labels else None
+    injected_only = None
+    if injected:
+        is_injected = map(set(injected).__contains__, islice(merged, 1, None))
+        injected_only = distribution_of(list(compress(merged_labels, is_injected)))
 
     return SimResult(
         repo_id=repo.id,
         config=config,
         excluded=False,
         exclusion_reason=None,
-        real_times=tuple(real_times),
+        real_times=before.real_times,
         injected_times=tuple(injected),
-        before=before,
+        before=before.distribution,
         after=after,
         injected_only=injected_only,
         final_idm=final_idm,
-        _repo=repo,
+        n_fires=n_fires,
+        _before=before,
     )
 
 
@@ -363,9 +408,16 @@ def simulate_corpus(
         warnings.append("empty corpus: nothing to simulate")
     for category in corpus.categories():
         repos = sorted(corpus.by_category(category), key=lambda r: r.id)
+        # per config with the AP taken out: each repo's before side, and the
+        # mean before regular share per window index
+        shared: dict[SimConfig, tuple[list[_Before], dict[int, float]]] = {}
         for config in configs:
             ap = config.acceptance_probability
-            sims = tuple(simulate(repo, config) for repo in repos)
+            key = replace(config, acceptance_probability=0.0)
+            if key not in shared:
+                shared[key] = _shared_before(repos, config, timeline_window)
+            sides, before_means = shared[key]
+            sims = tuple(simulate(repo, config, _before=side) for repo, side in zip(repos, sides))
             results[(category.value, ap)] = sims
             kept = [s for s in sims if not s.excluded]
             n_excluded = len(sims) - len(kept)
@@ -394,17 +446,11 @@ def simulate_corpus(
                     n_excluded=n_excluded,
                 )
             )
-            before_by_idx: dict[int, list[float]] = {}
             after_by_idx: dict[int, list[float]] = {}
             for sim in kept:
-                for idx, point in enumerate(
-                    timeline_from_times(list(sim.real_times), timeline_window, config.alpha)
-                ):
-                    before_by_idx.setdefault(idx, []).append(point.regular_pct)
-                merged = sorted(sim.real_times + sim.injected_times)
-                for idx, point in enumerate(
-                    timeline_from_times(merged, timeline_window, config.alpha)
-                ):
+                # the timeline orders the times itself, merging the two sorted runs
+                merged = sim.real_times + sim.injected_times
+                for idx, point in enumerate(timeline_from_times(merged, timeline_window, config.alpha)):
                     after_by_idx.setdefault(idx, []).append(point.regular_pct)
             for idx in sorted(after_by_idx):
                 after_vals = after_by_idx[idx]
@@ -413,7 +459,7 @@ def simulate_corpus(
                         category=category.value,
                         ap=ap,
                         window_index=idx,
-                        before_regular_pct=_mean_or_none(before_by_idx.get(idx, [])),
+                        before_regular_pct=before_means.get(idx),
                         after_regular_pct=sum(after_vals) / len(after_vals),
                         n_repos=len(after_vals),
                     )
@@ -424,3 +470,18 @@ def simulate_corpus(
         warnings=tuple(warnings),
         results=results,
     )
+
+
+def _shared_before(
+    repos: list[Repository], config: SimConfig, timeline_window: float
+) -> tuple[list[_Before], dict[int, float]]:
+    """The before sides of ``repos`` and their mean regular share per window index."""
+    sides = [_before_side(repo, config) for repo in repos]
+    by_idx: dict[int, list[float]] = {}
+    for side in sides:
+        if side.exclusion is None:
+            for idx, point in enumerate(
+                timeline_from_times(side.real_times, timeline_window, config.alpha)
+            ):
+                by_idx.setdefault(idx, []).append(point.regular_pct)
+    return sides, {idx: sum(vals) / len(vals) for idx, vals in by_idx.items()}

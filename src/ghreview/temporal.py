@@ -80,27 +80,6 @@ def median_positive(durations: Sequence[float]) -> float:
     return statistics.median(positive)
 
 
-class RunningMedian:
-    """Median of the positive gaps seen so far, kept by sorted insertion."""
-
-    def __init__(self) -> None:
-        self._sorted: list[float] = []
-
-    def add_gap(self, duration: float) -> None:
-        if duration > 0:
-            bisect.insort(self._sorted, duration)
-
-    def value(self) -> float | None:
-        xs = self._sorted
-        n = len(xs)
-        if n == 0:
-            return None
-        mid = n // 2
-        if n % 2:
-            return xs[mid]
-        return 0.5 * (xs[mid - 1] + xs[mid])
-
-
 def idm(gaps: GapSeries | Sequence[float]) -> float:
     """The median inter-issue distance of a series, in seconds."""
     durations = gaps.durations() if isinstance(gaps, GapSeries) else gaps
@@ -121,8 +100,8 @@ def distribution_of(labels: Sequence[Label]) -> Distribution:
     n = len(labels)
     if n == 0:
         return Distribution(0.0, 0.0, 0.0, 0)
-    dense = sum(1 for l in labels if l is Label.DENSE)
-    dispersed = sum(1 for l in labels if l is Label.DISPERSED)
+    dense = labels.count(Label.DENSE)
+    dispersed = labels.count(Label.DISPERSED)
     regular = n - dense - dispersed
     return Distribution(100.0 * dense / n, 100.0 * regular / n, 100.0 * dispersed / n, n)
 
@@ -133,7 +112,10 @@ def classify_gaps(
     """Label every gap against the series' own median and summarize the split."""
     durations = gaps.durations() if isinstance(gaps, GapSeries) else list(gaps)
     median = median_positive(durations)  # raises on empty/all-zero series
-    labels = [classify_duration(d, median, alpha) for d in durations]
+    lo, hi = median - alpha, median + alpha
+    dense, regular, dispersed = Label.DENSE, Label.REGULAR, Label.DISPERSED
+    # classify_duration's comparisons, made inline
+    labels = [dense if d == 0 or d < lo else dispersed if d > hi else regular for d in durations]
     return labels, distribution_of(labels)
 
 
@@ -181,24 +163,30 @@ def timeline_from_times(
     if not window > 0:
         raise ValueError(f"window must be positive, got {window}")
     ordered = sorted(times)
+    n = len(ordered)
     t0 = ordered[0] if ordered else 0.0
-    gap_ends = [(b, b - a) for a, b in zip(ordered, ordered[1:])]
-    median = RunningMedian()
+    gaps = gaps_from_times(ordered)  # gap i - 1 ends at ordered[i]
+    positive: list[float] = []  # every positive gap ended so far, sorted
+    insort = bisect.insort
     points: list[TimelinePoint] = []
-    i = k = 0
-    while i < len(gap_ends):
-        k = _window_holding(gap_ends[i][0], t0, window, k)
-        window_end = t0 + (k + 1) * window
-        in_window: list[float] = []
-        while i < len(gap_ends) and gap_ends[i][0] < window_end:
-            in_window.append(gap_ends[i][1])
-            median.add_gap(gap_ends[i][1])
-            i += 1
-        m = median.value()
-        if m is None:
-            regular = 0  # zero-duration bursts only, all Dense
-        else:
-            regular = sum(1 for d in in_window if classify_duration(d, m, alpha) is Label.REGULAR)
+    i, k = 1, 0
+    while i < n:
+        k = _window_holding(ordered[i], t0, window, k)
+        # the openings before the window's close end its gaps
+        j = bisect.bisect_left(ordered, t0 + (k + 1) * window, i)
+        in_window = gaps[i - 1 : j - 1]
+        i = j
+        for d in in_window:
+            if d > 0:
+                insort(positive, d)
+        regular = 0  # zero-duration bursts only, all Dense
+        m = len(positive)
+        if m:
+            mid = m >> 1
+            median = positive[mid] if m & 1 else 0.5 * (positive[mid - 1] + positive[mid])
+            lo, hi = median - alpha, median + alpha
+            # classify_duration's Regular band, tested inline
+            regular = sum(1 for d in in_window if d and lo <= d <= hi)
         points.append(
             TimelinePoint(
                 window_start=t0 + k * window,

@@ -223,6 +223,12 @@ def test_unsupported_version_raises(tmp_path):
             "finite timestamp",
         ),
         (
+            # an integer beyond float range
+            '{"kind":"repo","id":"x/y","category":"Random","created_at":1' + "0" * 400 + ',"owner":"ann"}',
+            ArchiveParseError,
+            "'created_at' must be a finite timestamp",
+        ),
+        (
             '{"kind":"issue","id":"one/repo#9","repo":"one/repo","opener":"ann","created_at":300,'
             '"has_linked_code":"false"}',
             ArchiveParseError,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from ghreview.archive import ArchiveInvariantError, load_archive, save_archive
+from ghreview.archive import ArchiveIntegrityError, ArchiveInvariantError, load_archive, save_archive
 from ghreview.models import Category, Comment, Commit, Corpus, Issue, Repository, User, validate
 
 
@@ -118,3 +118,37 @@ def test_validate_checks_issue_links_against_the_whole_corpus(tmp_path):
     save_archive(corpus, tmp_path / "links.ndjson")
     loaded = load_archive(tmp_path / "links.ndjson")
     assert [c.issue_id for r in loaded.repos for c in r.commits] == ["b/b#1", "a/a#1"]
+
+
+def test_validate_flags_users_missing_from_the_user_table(tmp_path):
+    # save_archive writes only corpus.users, so the loader would reject the owner
+    ann = User("ann", 0)
+    repo = Repository(id="a/a", category=Category.ROS, created_at=0.0, owner=ann)
+    corpus = Corpus(repos=[repo], users={}, meta={"version": 1})
+    assert [str(v) for v in validate(corpus)] == ["a/a: owner: reference to unknown user ann"]
+    save_archive(corpus, tmp_path / "orphan.ndjson")
+    with pytest.raises(ArchiveIntegrityError, match="a/a -> ann: reference to unknown user"):
+        load_archive(tmp_path / "orphan.ndjson")
+
+    corpus.users["ann"] = ann
+    assert validate(corpus) == []
+    save_archive(corpus, tmp_path / "clean.ndjson")
+    loaded = load_archive(tmp_path / "clean.ndjson")
+    assert validate(loaded) == [] and loaded.repos[0].owner == ann
+
+
+def test_validate_names_every_field_that_refers_to_a_missing_user():
+    corpus = _corpus()
+    issue = corpus.repos[0].issues[0]
+    issue.closer, issue.closed_at = corpus.users["ann"], 260.0
+    del corpus.users["ann"], corpus.users["bob"]
+    flagged = [(v.record_id, v.field, v.rule) for v in validate(corpus)]
+    assert flagged == [
+        ("one/repo", "owner", "reference to unknown user ann"),
+        ("one/repo", "contributors", "reference to unknown user ann"),
+        ("one/repo", "contributors", "reference to unknown user bob"),
+        ("one/repo#1", "opener", "reference to unknown user bob"),
+        ("one/repo#1", "closer", "reference to unknown user ann"),
+        ("one/repo#1", "comments", "reference to unknown user ann"),
+        ("one/repo", "commits", "reference to unknown user ann"),
+    ]

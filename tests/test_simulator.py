@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from ghreview import simulator
-from ghreview.models import Category
+from ghreview.models import Category, Repository
 from ghreview.simulator import (
     EventKind,
     SimConfig,
@@ -20,7 +20,8 @@ from ghreview.simulator import (
     simulate_corpus,
 )
 from ghreview.synthetic import lognormal_repo, periodic_repo, random_corpus
-from ghreview.units import DAY, MONTH, YEAR
+from ghreview.temporal import timeline_from_times
+from ghreview.units import DAY, HOUR, MONTH, YEAR
 from reference_sim import reference_simulate
 
 IAP_DAYS = 6 * MONTH / DAY  # 182.64
@@ -377,3 +378,150 @@ def test_simulate_corpus_builds_the_event_log_only_when_read(monkeypatch):
     result = table.results[("ROS", 0.5)][0]
     assert _events(result) and len(built) == len(result.events)
     assert _events(result) == _events(simulate(corpus.repos[1], config))
+
+
+def test_fire_count_matches_the_replayed_log():
+    corpus = random_corpus(23, n_repos=8, issues_range=(3, 60), mean_gap=6 * DAY)
+    for ap in (0.0, 0.4, 1.0):
+        for repo in corpus.repos:
+            result = simulate(repo, SimConfig(acceptance_probability=ap, seed=2))
+            fired = sum(1 for e in result.events if e.kind is EventKind.NOTIFICATION_FIRED)
+            assert result.n_fires == fired
+            assert not result.excluded or result.n_fires == 0
+    periodic = simulate(periodic_repo("x/fires", n_issues=182), SimConfig(acceptance_probability=1.0))
+    assert periodic.n_fires == len(periodic.injected_times) > 0
+
+
+# --- the before side shared across acceptance probabilities ----------------
+
+APS = (0.0, 0.2, 0.5, 0.9, 1.0)
+MODES = {
+    "replay": {},
+    "generative": {"generative": True},
+    "jitter": {"jitter": 5 * HOUR},
+}
+
+
+def _fields(result):
+    return (
+        result.excluded,
+        result.exclusion_reason,
+        result.before,
+        result.after,
+        result.injected_only,
+        result.real_times,
+        result.injected_times,
+        result.final_idm,
+        result.n_fires,
+        _events(result),
+    )
+
+
+def _sweep_corpus(seed):
+    corpus = random_corpus(seed, n_repos=9, issues_range=(2, 70), mean_gap=5 * DAY)
+    # one repo too sparse to simulate, one whose assessment period holds a burst only
+    corpus.repos.append(periodic_repo(f"z/sparse{seed}", category=Category.ROS, n_issues=2))
+    corpus.repos.append(periodic_repo(f"z/burst{seed}", category=Category.POPULAR, period=0.0, n_issues=5))
+    return corpus
+
+
+def _naive_timelines(corpus, configs, window):
+    """Fig 6 rows recomputed per AP from independent runs, sorting every series."""
+    rows = []
+    for category in corpus.categories():
+        repos = sorted(corpus.by_category(category), key=lambda r: r.id)
+        for config in configs:
+            kept = [s for s in (simulate(r, config) for r in repos) if not s.excluded]
+            before, after = {}, {}
+            for sim in kept:
+                merged = sorted(sim.real_times + sim.injected_times)
+                for series, by_idx in ((sorted(sim.real_times), before), (merged, after)):
+                    for idx, point in enumerate(timeline_from_times(series, window, config.alpha)):
+                        by_idx.setdefault(idx, []).append(point.regular_pct)
+            for idx in sorted(after):
+                b = before.get(idx)
+                rows.append(
+                    simulator.TimelineRow(
+                        category=category.value,
+                        ap=config.acceptance_probability,
+                        window_index=idx,
+                        before_regular_pct=sum(b) / len(b) if b else None,
+                        after_regular_pct=sum(after[idx]) / len(after[idx]),
+                        n_repos=len(after[idx]),
+                    )
+                )
+    return rows
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_simulate_corpus_matches_independent_runs(mode):
+    window = 21 * DAY
+    for seed in range(3):
+        corpus = _sweep_corpus(seed)
+        configs = [SimConfig(acceptance_probability=ap, seed=seed, **MODES[mode]) for ap in APS]
+        table = simulate_corpus(corpus, configs, timeline_window=window)
+        n_excluded = 0
+        for category in corpus.categories():
+            repos = sorted(corpus.by_category(category), key=lambda r: r.id)
+            for config in configs:
+                sims = table.results[(category.value, config.acceptance_probability)]
+                assert len(sims) == len(repos)
+                for repo, sim in zip(repos, sims):
+                    alone = simulate(repo, config)
+                    assert _fields(sim) == _fields(alone), (seed, repo.id, config.acceptance_probability)
+                    n_excluded += sim.excluded
+        assert n_excluded >= 2 * len(APS)  # the sparse and the burst repo at every AP
+        assert list(table.timelines) == _naive_timelines(corpus, configs, window)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_ap_order_does_not_change_any_run(mode):
+    # every AP reads the same before side; a run that changed it would make
+    # the results depend on the order the APs run in
+    corpus = _sweep_corpus(7)
+    configs = [SimConfig(acceptance_probability=ap, seed=3, **MODES[mode]) for ap in APS]
+    forward = simulate_corpus(corpus, configs)
+    backward = simulate_corpus(corpus, configs[::-1])
+    assert set(forward.results) == set(backward.results)
+    for key, sims in forward.results.items():
+        assert [_fields(s) for s in sims] == [_fields(s) for s in backward.results[key]]
+
+    def by_key(table):
+        return sorted(table.rows, key=lambda r: (r.category, r.ap)), sorted(
+            table.timelines, key=lambda t: (t.category, t.ap, t.window_index)
+        )
+
+    assert by_key(forward) == by_key(backward)
+
+
+def test_sweep_computes_each_before_side_once(monkeypatch):
+    corpus = _sweep_corpus(4)
+    configs = [SimConfig(acceptance_probability=ap, seed=1) for ap in APS]
+    kept = [r for r in corpus.repos if not simulate(r, configs[0]).excluded]
+    calls = {"classify_gaps": 0, "timeline_from_times": 0, "issues_by_time": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("classify_gaps", "timeline_from_times"):
+        monkeypatch.setattr(simulator, name, counted(name, getattr(simulator, name)))
+    monkeypatch.setattr(
+        Repository, "issues_by_time", counted("issues_by_time", Repository.issues_by_time)
+    )
+    table = simulate_corpus(corpus, configs)
+    # one before side per kept repo, one after side per kept repo and AP
+    assert calls == {
+        "classify_gaps": len(kept) * (1 + len(APS)),
+        "timeline_from_times": len(kept) * (1 + len(APS)),
+        "issues_by_time": len(corpus.repos),
+    }
+    # reading the replayed event logs recomputes no before side
+    for sims in table.results.values():
+        for sim in sims:
+            sim.events
+    assert calls["classify_gaps"] == len(kept) * (1 + len(APS))
+    assert calls["issues_by_time"] == len(corpus.repos)

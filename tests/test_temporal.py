@@ -255,6 +255,87 @@ def test_timeline_oracle_below_float_resolution():
         assert _points(times, window, 0.0) == reference_timeline(times, window, 0.0)
 
 
+# --- the inline Regular band against classify_duration ---------------------
+
+
+def _band_edge_durations(rng):
+    """Random durations and zero gaps, plus gaps exactly at the median's band edges.
+
+    One edge below and one above the median leave the median unchanged.
+    """
+    durations = [rng.choice([0.0, 0.0, rng.uniform(1, 90) * HOUR]) for _ in range(rng.randint(1, 40))]
+    durations.append(rng.uniform(1, 90) * HOUR)
+    median = sort_median_positive(durations)
+    alpha = min(rng.choice([ALPHA_DEFAULT, HOUR, 2 * DAY]), median / 2)
+    for _ in range(rng.randint(1, 3)):
+        durations.insert(rng.randint(0, len(durations)), median - alpha)
+        durations.insert(rng.randint(0, len(durations)), median + alpha)
+    return durations, alpha
+
+
+def test_classify_gaps_matches_classify_duration_gap_by_gap():
+    rng = random.Random(21)
+    for _ in range(300):
+        durations, alpha = _band_edge_durations(rng)
+        median = median_positive(durations)
+        labels, dist = classify_gaps(durations, alpha=alpha)
+        assert labels == [classify_duration(d, median, alpha) for d in durations]
+        edges = [label for d, label in zip(durations, labels) if d in (median - alpha, median + alpha)]
+        assert edges and all(label is Label.REGULAR for label in edges)
+        assert dist.regular_pct == 100.0 * labels.count(Label.REGULAR) / len(labels)
+
+
+def _band_edge_times(rng, period, alpha):
+    """Openings whose every prefix is mostly ``period`` gaps, so the running
+    median stays ``period`` and gaps of ``period -/+ alpha`` sit on the band
+    edges; zero gaps and other gaps are mixed in.  Whole seconds keep every
+    gap exact."""
+    times = [BASE, BASE + period, BASE + 2 * period, BASE + 3 * period]
+    for _ in range(rng.randint(1, 30)):
+        odd = rng.choice([period - alpha, period + alpha, 0, rng.randint(1, 4 * period)])
+        for gap in rng.sample([period, period, period, odd], 4):
+            times.append(times[-1] + gap)
+    return times
+
+
+def _check_timeline_against_classify_duration(times, window, alpha):
+    """Band every window's gaps with classify_duration; returns the band-edge gaps seen."""
+    gaps = gaps_from_times(times)
+    ended = edges = 0
+    for point in timeline_from_times(times, window, alpha):
+        in_window = gaps[ended : ended + point.n_gaps]
+        ended += point.n_gaps
+        regular = 0
+        if any(d > 0 for d in gaps[:ended]):
+            median = sort_median_positive(gaps[:ended])
+            labels = [classify_duration(d, median, alpha) for d in in_window]
+            regular = labels.count(Label.REGULAR)
+            edges += sum(d in (median - alpha, median + alpha) for d in in_window)
+        assert point.regular_pct == 100.0 * regular / point.n_gaps
+    assert ended == len(gaps)
+    return edges
+
+
+def test_timeline_band_matches_classify_duration_on_band_edges():
+    rng = random.Random(22)
+    edges = 0
+    for _ in range(150):
+        period, alpha = rng.choice([(86_400, 21_600), (604_800, 86_400), (3600, 1)])
+        times = _band_edge_times(rng, period, alpha)
+        window = rng.choice([period, 3 * period, 10 * period])
+        edges += _check_timeline_against_classify_duration(times, window, alpha)
+        assert _points(times, window, alpha) == reference_timeline(times, window, alpha)
+    assert edges > 100
+
+
+def test_timeline_band_matches_classify_duration_on_random_series():
+    rng = random.Random(23)
+    for _ in range(150):
+        times = [BASE + rng.choice([0, rng.randint(0, 200 * 86_400)]) for _ in range(rng.randint(2, 60))]
+        alpha = rng.choice([ALPHA_DEFAULT, HOUR, 3 * DAY])
+        _check_timeline_against_classify_duration(times, rng.choice([DAY, 7 * DAY, 30 * DAY]), alpha)
+
+
 @pytest.mark.parametrize("window", [0.0, -DAY, float("nan")])
 def test_timeline_rejects_non_positive_window(window):
     with pytest.raises(ValueError):
