@@ -3,8 +3,8 @@
 One UTF-8 JSON record per line, each with a ``kind`` discriminator
 (``meta`` | ``user`` | ``repo`` | ``issue`` | ``comment`` | ``commit``).
 The first record must be the schema header ``{"kind": "meta", "version": 1}``.
-Records may appear in any order after the header; references are resolved
-after the whole file is buffered.
+Records may appear in any order after the header; one pass reads each
+line's field values, and references are resolved after the last line.
 
 Timestamps are accepted either as UTC epoch seconds or as ISO-8601 strings
 (naive strings are taken as UTC); they are always written back as epoch
@@ -168,7 +168,7 @@ def _enforce(broken: tuple, line_no: int, record_id: str) -> None:
 
 
 class _Loader:
-    """Two-phase loader: buffer raw records, then link and check them."""
+    """Two-phase loader: read and type-check each line, then link and check the records."""
 
     def __init__(self, lenient: bool):
         self.lenient = lenient
@@ -183,9 +183,9 @@ class _Loader:
         self.rejected.append(Rejection(error.line_no, str(error)))
 
     def load(self, path) -> Corpus:
-        path = Path(path)
-        raw: list[tuple[int, dict]] = []
-        with path.open(encoding="utf-8") as fh:
+        meta = None
+        by_kind: dict[str, list[tuple[int, list]]] = {kind: [] for kind in _FIELDS}
+        with Path(path).open(encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -197,26 +197,27 @@ class _Loader:
                 if not isinstance(record, dict) or not isinstance(record.get("kind"), str):
                     self.reject(ArchiveParseError(line_no, "record must be an object with a 'kind' field"))
                     continue
-                raw.append((line_no, record))
+                kind = record["kind"]
+                if meta is None:  # the first object record is the header
+                    if kind != "meta":
+                        raise ArchiveParseError(line_no, "archive must start with a meta header record")
+                    version = record.get("version")
+                    if version != ARCHIVE_VERSION:
+                        raise ArchiveParseError(line_no, f"unsupported archive version: {version!r}")
+                    meta = {k: v for k, v in record.items() if k != "kind"}
+                elif kind == "meta":
+                    self.reject(ArchiveParseError(line_no, "duplicate meta record"))
+                elif kind not in by_kind:
+                    self.reject(ArchiveParseError(line_no, f"unknown record kind: {kind!r}"))
+                else:
+                    try:
+                        by_kind[kind].append((line_no, _read(record, kind, line_no)))
+                    except ArchiveError as err:
+                        self.reject(err)
+        if meta is None:
+            raise ArchiveParseError(1, "archive must start with a meta header record")
 
-        if not raw or raw[0][1].get("kind") != "meta":
-            raise ArchiveParseError(raw[0][0] if raw else 1, "archive must start with a meta header record")
-        meta_line, meta = raw[0]
-        version = meta.get("version")
-        if version != ARCHIVE_VERSION:
-            raise ArchiveParseError(meta_line, f"unsupported archive version: {version!r}")
-
-        by_kind: dict[str, list[tuple[int, dict]]] = {kind: [] for kind in _FIELDS}
-        for line_no, record in raw[1:]:
-            kind = record["kind"]
-            if kind == "meta":
-                self.reject(ArchiveParseError(line_no, "duplicate meta record"))
-            elif kind not in by_kind:
-                self.reject(ArchiveParseError(line_no, f"unknown record kind: {kind!r}"))
-            else:
-                by_kind[kind].append((line_no, record))
-
-        # kinds in dependency order: each record refers only to earlier kinds
+        # kinds in dependency order (each refers only to earlier kinds); a linked bucket is freed
         for kind, add in (
             ("user", self._add_user),
             ("repo", self._add_repo),
@@ -224,16 +225,16 @@ class _Loader:
             ("comment", self._add_comment),
             ("commit", self._add_commit),
         ):
-            for line_no, record in by_kind[kind]:
+            for line_no, values in by_kind.pop(kind):
                 try:
-                    add(line_no, *_read(record, kind, line_no))
+                    add(line_no, *values)
                 except ArchiveError as err:
                     self.reject(err)
 
         corpus = Corpus(
             repos=[r for _, r in sorted(self.repos.items())],
             users=self.users,
-            meta={k: v for k, v in meta.items() if k != "kind"},
+            meta=meta,
             rejected=self.rejected,
         )
         for repo in corpus.repos:
@@ -332,7 +333,7 @@ def _encode(kind: str, obj) -> str:
         elif isinstance(value, User):
             value = value.login
         record[key] = value
-    return _dump(record)
+    return _dump(record) + "\n"
 
 
 def save_archive(corpus: Corpus, path) -> None:
@@ -341,19 +342,18 @@ def save_archive(corpus: Corpus, path) -> None:
     The file is written beside ``path`` under a temporary name and renamed
     over it, so a failed save leaves any previous archive intact.
     """
-    lines = [_dump({"kind": "meta", "version": ARCHIVE_VERSION, **corpus.meta})]
-    lines += [_encode("user", corpus.users[login]) for login in sorted(corpus.users)]
     repos = sorted(corpus.repos, key=lambda r: r.id)
-    lines += [_encode("repo", repo) for repo in repos]
-    for repo in repos:
-        issues = repo.issues_by_time()
-        lines += [_encode("issue", issue) for issue in issues]
-        for issue in issues:
-            for comment in sorted(issue.comments, key=lambda c: (c.created_at, c.author.login)):
-                lines.append(_encode("comment", comment))
-        lines += [_encode("commit", commit) for commit in repo.commits_by_time()]
     with _atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_dump({"kind": "meta", "version": ARCHIVE_VERSION, **corpus.meta}) + "\n")
+        fh.writelines(_encode("user", corpus.users[login]) for login in sorted(corpus.users))
+        fh.writelines(_encode("repo", repo) for repo in repos)
+        for repo in repos:
+            issues = repo.issues_by_time()
+            fh.writelines(_encode("issue", issue) for issue in issues)
+            for issue in issues:
+                comments = sorted(issue.comments, key=lambda c: (c.created_at, c.author.login))
+                fh.writelines(_encode("comment", comment) for comment in comments)
+            fh.writelines(_encode("commit", commit) for commit in repo.commits_by_time())
 
 
 @contextmanager

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import requests
 
-from .archive import _atomic_write, _parse_timestamp
+from .archive import ArchiveParseError, _atomic_write, _parse_timestamp
 from .models import Category, Comment, Commit, Corpus, Issue, Repository, User
 
 __all__ = [
@@ -85,7 +85,6 @@ class FetchPlan:
     token: str | None = None
     page_size: int = 100
     max_pages: int = 50
-    since: float | None = None
     category: Category = Category.RANDOM
     base_url: str = DEFAULT_BASE_URL
     cache_dir: str | None = None
@@ -236,8 +235,12 @@ class GitHubClient:
         return out
 
 
-def _ts(value, what: str) -> float:
-    return _parse_timestamp(value, 0, what)
+def _ts(value, url: str, what: str) -> float:
+    """A payload timestamp; a bad one is blamed on the URL that sent it."""
+    try:
+        return _parse_timestamp(value, 0, what)
+    except ArchiveParseError as exc:
+        raise PayloadDecodeError(url, f"bad timestamp {value!r} in {what}") from exc
 
 
 def _query(params: dict) -> str:
@@ -287,34 +290,30 @@ def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = N
     """
     client = client or GitHubClient(plan)
     with _persisting(client):
-        base = plan.base_url
+        repo_url = f"{plan.base_url}/repos/{slug}"
+        page_query = _query({"per_page": plan.page_size})
         try:
-            payload, _, _ = client.get(f"{base}/repos/{slug}")
+            payload, _, _ = client.get(repo_url)
         except _NotFound:
             raise UnknownRepoError(slug) from None
         if not isinstance(payload, dict):
-            raise PayloadDecodeError(f"{base}/repos/{slug}", "expected a JSON object")
+            raise PayloadDecodeError(repo_url, "expected a JSON object")
 
         owner_login = payload["owner"]["login"]
-        created_at = _ts(payload["created_at"], "repo created_at")
+        created_at = _ts(payload["created_at"], repo_url, "repo created_at")
 
-        contributors_payload = client.paged(
-            f"{base}/repos/{slug}/contributors?{_query({'per_page': plan.page_size})}"
-        )
+        contributors_payload = client.paged(f"{repo_url}/contributors?{page_query}")
         contributor_logins = [c["login"] for c in contributors_payload if "login" in c]
 
-        issue_params = {"state": "all", "per_page": plan.page_size}
-        if plan.since is not None:
-            issue_params["since"] = int(plan.since)
-        issues_payload = client.paged(f"{base}/repos/{slug}/issues?{_query(issue_params)}")
+        issues_url = f"{repo_url}/issues?{_query({'state': 'all', 'per_page': plan.page_size})}"
+        issues_payload = client.paged(issues_url)
 
-        commits_payload = client.paged(
-            f"{base}/repos/{slug}/commits?{_query({'per_page': plan.page_size})}"
-        )
+        commits_url = f"{repo_url}/commits?{page_query}"
+        commits_payload = client.paged(commits_url)
 
         logins: set[str] = {owner_login}
         logins.update(contributor_logins)
-        comment_payloads: dict[int, list] = {}
+        comment_payloads: dict[int, tuple[str, list]] = {}  # issue number -> (URL, comments)
         for item in issues_payload:
             logins.add(item["user"]["login"])
             closed_by = item.get("closed_by")
@@ -322,12 +321,9 @@ def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = N
                 logins.add(closed_by["login"])
             if item.get("comments", 0):
                 number = item["number"]
-                comment_payloads[number] = client.paged(
-                    f"{base}/repos/{slug}/issues/{number}/comments?"
-                    f"{_query({'per_page': plan.page_size})}"
-                )
-                for c in comment_payloads[number]:
-                    logins.add(c["user"]["login"])
+                url = f"{repo_url}/issues/{number}/comments?{page_query}"
+                comment_payloads[number] = url, client.paged(url)
+                logins.update(c["user"]["login"] for c in comment_payloads[number][1])
         commit_authors: list[str | None] = []
         for item in commits_payload:
             author = item.get("author")
@@ -343,14 +339,15 @@ def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = N
             number = item["number"]
             issue_id = f"{slug}#{number}"
             closed_by = item.get("closed_by")
+            comments_url, comment_items = comment_payloads.get(number, ("", []))
             comments = [
                 Comment(
                     issue_id=issue_id,
                     author=users[c["user"]["login"]],
-                    created_at=_ts(c["created_at"], "comment created_at"),
+                    created_at=_ts(c["created_at"], comments_url, "comment created_at"),
                     body=c.get("body") or "",
                 )
-                for c in comment_payloads.get(number, [])
+                for c in comment_items
             ]
             comments.sort(key=lambda c: c.created_at)
             issues.append(
@@ -358,10 +355,10 @@ def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = N
                     id=issue_id,
                     repo_id=slug,
                     opener=users[item["user"]["login"]],
-                    created_at=_ts(item["created_at"], "issue created_at"),
+                    created_at=_ts(item["created_at"], issues_url, "issue created_at"),
                     closer=users[closed_by["login"]] if closed_by else None,
                     closed_at=(
-                        _ts(item["closed_at"], "issue closed_at")
+                        _ts(item["closed_at"], issues_url, "issue closed_at")
                         if item.get("closed_at")
                         else None
                     ),
@@ -380,7 +377,7 @@ def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = N
                 Commit(
                     repo_id=slug,
                     author=users[login],
-                    created_at=_ts(item["commit"]["author"]["date"], "commit date"),
+                    created_at=_ts(item["commit"]["author"]["date"], commits_url, "commit date"),
                     lines_added=int(stats.get("additions", 0)),
                     lines_removed=int(stats.get("deletions", 0)),
                 )

@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from itertools import compress, islice
 
 from .models import Corpus, Repository
 from .temporal import (
@@ -211,8 +210,8 @@ def _notify(
     """Run the notifier over one repository, appending its events to ``sink`` if given.
 
     Returns every issue time, real and injected, in the order the loop met
-    them (time order), the injected times, the final median and the number
-    of fires.  ``before`` is read, never changed.
+    them (time order), the positions of the injected ones in that list, the
+    final median and the number of fires.  ``before`` is read, never changed.
     """
     real = before.real_times
     n_real = len(real)
@@ -232,7 +231,7 @@ def _notify(
     rng = random.Random(f"{config.seed}:{before.repo_id}")
     draw = rng.random
     insort = bisect.insort
-    injected: list[float] = []
+    injected_at: list[int] = []
     n_events = i
     n_fires = 0
     base = merged[-1]
@@ -264,7 +263,7 @@ def _notify(
                 sink.append(SimEvent(fire, outcome, idm))
             if not accepted:
                 continue
-            injected.append(fire)
+            injected_at.append(len(merged))
             kind = EventKind.INJECTED_ISSUE
         # record the issue at ``base``: fold its gap into the running median
         d = base - merged[-1]
@@ -278,7 +277,7 @@ def _notify(
         if sink is not None:
             sink.append(SimEvent(base, kind, idm))
 
-    return merged, injected, idm, n_fires
+    return merged, injected_at, idm, n_fires
 
 
 def simulate(repo: Repository, config: SimConfig, *, _before: _Before | None = None) -> SimResult:
@@ -294,13 +293,12 @@ def simulate(repo: Repository, config: SimConfig, *, _before: _Before | None = N
         return SimResult(
             repo_id=repo.id, config=config, excluded=True, exclusion_reason=before.exclusion
         )
-    merged, injected, final_idm, n_fires = _notify(before, config)
+    merged, injected_at, final_idm, n_fires = _notify(before, config)
     merged_labels, after = classify_gaps(gaps_from_times(merged), alpha=config.alpha)
 
     injected_only = None
-    if injected:
-        is_injected = map(set(injected).__contains__, islice(merged, 1, None))
-        injected_only = distribution_of(list(compress(merged_labels, is_injected)))
+    if injected_at:  # label k - 1 is the gap that ends at merged[k]
+        injected_only = distribution_of([merged_labels[k - 1] for k in injected_at])
 
     return SimResult(
         repo_id=repo.id,
@@ -308,7 +306,7 @@ def simulate(repo: Repository, config: SimConfig, *, _before: _Before | None = N
         excluded=False,
         exclusion_reason=None,
         real_times=before.real_times,
-        injected_times=tuple(injected),
+        injected_times=tuple(merged[k] for k in injected_at),
         before=before.distribution,
         after=after,
         injected_only=injected_only,

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +136,44 @@ def test_failed_save_keeps_previous_archive(tiny_corpus, tmp_path, monkeypatch):
         save_archive(tiny_corpus, out)
     assert out.read_text(encoding="utf-8") == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["archive.ndjson"]
+
+
+# --- memory ----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def large_archive(tmp_path_factory):
+    path = tmp_path_factory.mktemp("large") / "archive.ndjson"
+    save_archive(random_corpus(3, n_repos=40, issues_range=(50, 150)), path)  # ~21k lines
+    return path
+
+
+def _traced(call):
+    """``call()``'s result, the traced memory it still holds and its traced peak."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = call()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, after - before, peak - before
+
+
+def test_load_holds_no_decoded_record_past_its_line(large_archive):
+    # buffering every decoded dict until the link phase peaks near 4x the corpus
+    _, held, peak = _traced(lambda: load_archive(large_archive))
+    assert peak <= 2.5 * held
+
+
+def test_save_streams_lines_to_the_file(large_archive, tmp_path):
+    # building the whole file in memory first peaks above 3x its size
+    corpus = load_archive(large_archive)
+    out = tmp_path / "again.ndjson"
+    _, _, peak = _traced(lambda: save_archive(corpus, out))
+    assert out.read_bytes() == large_archive.read_bytes()
+    assert peak <= 0.5 * out.stat().st_size
 
 
 # --- strict mode -----------------------------------------------------------
@@ -270,6 +310,17 @@ def test_strict_load_raises_with_line_number(tmp_path, bad_line, error, fragment
     assert exc_info.value.line_no == 6
     corpus = load_archive(path, lenient=True)
     assert corpus.rejected == [Rejection(6, str(exc_info.value))]
+
+
+def test_strict_load_raises_the_first_error_in_file_order(tmp_path):
+    bad_user = '{"kind":"user","login":"cat","followers":"many"}'
+    path = _write(tmp_path, META, USER_ANN, bad_user, USER_BOB, "{broken")
+    with pytest.raises(ArchiveParseError, match="'followers' must be an integer") as exc_info:
+        load_archive(path)
+    assert exc_info.value.line_no == 3
+    corpus = load_archive(path, lenient=True)
+    assert sorted(r.line_no for r in corpus.rejected) == [3, 5]
+    assert sorted(corpus.users) == ["ann", "bob"]
 
 
 def test_duplicate_repo_id_raises(tmp_path):

@@ -22,7 +22,7 @@ from ghreview.community import build_graph, ics
 from ghreview.models import Category, Corpus, Issue, Repository, User, reviewer_postings
 from ghreview.synthetic import random_corpus
 from conftest import GOLDEN, TINY
-from fetch_fixture import TOOLS, WIDGETS, fixture_server
+from fetch_fixture import TOOLS, WIDGETS, build_dataset, fixture_server
 
 
 def _rows(path) -> list[list[str]]:
@@ -366,6 +366,31 @@ def test_fetch_into_missing_directory_fails_before_any_request(capsys, tmp_path)
     err = capsys.readouterr().err
     assert str(archive) in err
     assert ".tmp" not in err
+
+
+@pytest.mark.parametrize(
+    ("keys", "path"),
+    [
+        pytest.param(("payload", "created_at"), "", id="repo"),
+        pytest.param(("issues", 0, "created_at"), "/issues?state=all&per_page=100", id="issue"),
+        pytest.param(("comments", 1, 0, "created_at"), "/issues/1/comments?per_page=100", id="comment"),
+        # commit 0 has no author, so it is dropped before its date is read
+        pytest.param(("commits", 1, "commit", "author", "date"), "/commits?per_page=100", id="commit"),
+    ],
+)
+def test_fetch_names_the_url_of_a_bad_timestamp(capsys, tmp_path, keys, path):
+    dataset = build_dataset()
+    payload = dataset["repos"][TOOLS]
+    for key in keys[:-1]:
+        payload = payload[key]
+    payload[keys[-1]] = "garbage"
+    with fixture_server(dataset) as (_, base_url):
+        rc = main(["fetch", "--repo", TOOLS, "--base-url", base_url,
+                   "--out-archive", str(tmp_path / "out.ndjson")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{base_url}/repos/{TOOLS}{path}: bad timestamp 'garbage'" in err
+    assert "line 0" not in err
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from ghreview.simulator import (
     simulate_corpus,
 )
 from ghreview.synthetic import lognormal_repo, periodic_repo, random_corpus
-from ghreview.temporal import timeline_from_times
+from ghreview.temporal import classify_gaps, distribution_of, gaps_from_times, timeline_from_times
 from ghreview.units import DAY, HOUR, MONTH, YEAR
 from reference_sim import reference_simulate
 
@@ -173,6 +173,20 @@ def test_ap_one_periodic_iap_injects_regular_gaps_exactly():
     assert result.injected_only.regular_pct == 100.0
     assert result.injected_only.n_gaps == expected_injections
     assert result.final_idm == DAY
+
+
+def test_injected_only_counts_injections_not_real_openings_at_their_time():
+    # a jittered wait clamps to 0 and the fire lands on the last real opening,
+    # so some injected times equal real ones; only the injections count
+    repo = periodic_repo("x/j", n_issues=400)
+    result = simulate(repo, SimConfig(acceptance_probability=1.0, seed=0, jitter=3 * DAY))
+    assert set(result.injected_times) & set(result.real_times)
+    assert result.injected_only.n_gaps == len(result.injected_times) == 702
+    # an independent merge: at equal times a real opening precedes the injection
+    tagged = sorted([(t, False) for t in result.real_times] + [(t, True) for t in result.injected_times])
+    labels, _ = classify_gaps(gaps_from_times([t for t, _ in tagged]), alpha=result.config.alpha)
+    injected_labels = [label for label, (_, injected) in zip(labels, tagged[1:]) if injected]
+    assert result.injected_only == distribution_of(injected_labels)
 
 
 # --- scheduling details ----------------------------------------------------
