@@ -13,11 +13,15 @@ seconds, so a round-trip is record-wise equivalent modulo representation.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
+from json.decoder import WHITESPACE
+from json.scanner import make_scanner
 from pathlib import Path
 
 from .models import (
@@ -132,6 +136,7 @@ _FIELDS = {
 }
 
 _TYPE_NAMES = {str: "a string", int: "an integer", bool: "a bool", list: "a list of strings"}
+_FLOAT_MAX = sys.float_info.max
 
 
 def _read(record: dict, kind: str, line_no: int) -> list:
@@ -141,6 +146,10 @@ def _read(record: dict, kind: str, line_no: int) -> list:
         value = record.get(key, default)
         if type(value) is json_type and json_type is not list:
             pass
+        elif json_type is _TIMESTAMP and (type(value) is int or type(value) is float) and (
+            -_FLOAT_MAX <= value <= _FLOAT_MAX  # finite, and an int that fits a float
+        ):
+            value = float(value)  # what _parse_timestamp returns, without the call
         elif value is default:  # absent, or null where the default is None
             if value is _REQUIRED:
                 raise ArchiveParseError(line_no, f"missing field {key!r} in {kind} record")
@@ -185,15 +194,25 @@ class _Loader:
     def load(self, path) -> Corpus:
         meta = None
         by_kind: dict[str, list[tuple[int, list]]] = {kind: [] for kind in _FIELDS}
+        scan = make_scanner(json.JSONDecoder())  # the C scanner behind json.loads
+        json_space = WHITESPACE.match
         with Path(path).open(encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
+                # A line the scanner reads whole, up to JSON whitespace, decodes as json.loads
+                # would; any other line goes through json.loads for its exact verdict and message.
+                record = None
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    self.reject(ArchiveParseError(line_no, f"invalid JSON: {exc.msg}"))
-                    continue
+                    record, end = scan(line, 0)
+                except (StopIteration, json.JSONDecodeError):
+                    pass
+                if record is None or json_space(line, end).end() != len(line):
+                    if not line.strip():
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        self.reject(ArchiveParseError(line_no, f"invalid JSON: {exc.msg}"))
+                        continue
                 if not isinstance(record, dict) or not isinstance(record.get("kind"), str):
                     self.reject(ArchiveParseError(line_no, "record must be an object with a 'kind' field"))
                     continue
@@ -308,8 +327,18 @@ def load_archive(path, lenient: bool = False) -> Corpus:
     offending records are dropped instead and reported in
     ``corpus.rejected``, so dropped + kept always accounts for every
     non-blank line.
+
+    The cyclic garbage collector is paused while the corpus is built: its
+    passes would re-traverse every record loaded so far, and the loader
+    makes no reference cycles for it to find.
     """
-    return _Loader(lenient=lenient).load(path)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _Loader(lenient=lenient).load(path)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _ts_out(value: float):

@@ -32,8 +32,6 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import requests
-
 from .archive import ArchiveParseError, _atomic_write, _parse_timestamp
 from .models import Category, Comment, Commit, Corpus, Issue, Repository, User
 
@@ -152,6 +150,8 @@ class GitHubClient:
     """
 
     def __init__(self, plan: FetchPlan):
+        import requests  # here, not at module level: commands that never fetch skip its import cost
+
         self.plan = plan
         self.session = requests.Session()
         self.budget = RateBudget()
@@ -235,6 +235,15 @@ class GitHubClient:
         return out
 
 
+def _field(payload, url: str, *keys):
+    """``payload[key][key]...``; a missing level is blamed on the URL that sent it."""
+    for key in keys:
+        if not isinstance(payload, dict) or key not in payload:
+            raise PayloadDecodeError(url, f"missing field {'.'.join(keys)!r}")
+        payload = payload[key]
+    return payload
+
+
 def _ts(value, url: str, what: str) -> float:
     """A payload timestamp; a bad one is blamed on the URL that sent it."""
     try:
@@ -299,8 +308,8 @@ def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = N
         if not isinstance(payload, dict):
             raise PayloadDecodeError(repo_url, "expected a JSON object")
 
-        owner_login = payload["owner"]["login"]
-        created_at = _ts(payload["created_at"], repo_url, "repo created_at")
+        owner_login = _field(payload, repo_url, "owner", "login")
+        created_at = _ts(_field(payload, repo_url, "created_at"), repo_url, "repo created_at")
 
         contributors_payload = client.paged(f"{repo_url}/contributors?{page_query}")
         contributor_logins = [c["login"] for c in contributors_payload if "login" in c]
@@ -315,15 +324,14 @@ def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = N
         logins.update(contributor_logins)
         comment_payloads: dict[int, tuple[str, list]] = {}  # issue number -> (URL, comments)
         for item in issues_payload:
-            logins.add(item["user"]["login"])
-            closed_by = item.get("closed_by")
-            if closed_by:
-                logins.add(closed_by["login"])
+            logins.add(_field(item, issues_url, "user", "login"))
+            if item.get("closed_by"):
+                logins.add(_field(item, issues_url, "closed_by", "login"))
             if item.get("comments", 0):
-                number = item["number"]
+                number = _field(item, issues_url, "number")
                 url = f"{repo_url}/issues/{number}/comments?{page_query}"
                 comment_payloads[number] = url, client.paged(url)
-                logins.update(c["user"]["login"] for c in comment_payloads[number][1])
+                logins.update(_field(c, url, "user", "login") for c in comment_payloads[number][1])
         commit_authors: list[str | None] = []
         for item in commits_payload:
             author = item.get("author")
@@ -335,8 +343,8 @@ def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = N
         users = _fetch_users(client, logins)
 
         issues: list[Issue] = []
-        for item in issues_payload:
-            number = item["number"]
+        for item in issues_payload:  # the pass above read every login, so users[...] cannot miss
+            number = _field(item, issues_url, "number")
             issue_id = f"{slug}#{number}"
             closed_by = item.get("closed_by")
             comments_url, comment_items = comment_payloads.get(number, ("", []))
@@ -344,7 +352,7 @@ def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = N
                 Comment(
                     issue_id=issue_id,
                     author=users[c["user"]["login"]],
-                    created_at=_ts(c["created_at"], comments_url, "comment created_at"),
+                    created_at=_ts(_field(c, comments_url, "created_at"), comments_url, "comment created_at"),
                     body=c.get("body") or "",
                 )
                 for c in comment_items
@@ -355,7 +363,7 @@ def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = N
                     id=issue_id,
                     repo_id=slug,
                     opener=users[item["user"]["login"]],
-                    created_at=_ts(item["created_at"], issues_url, "issue created_at"),
+                    created_at=_ts(_field(item, issues_url, "created_at"), issues_url, "issue created_at"),
                     closer=users[closed_by["login"]] if closed_by else None,
                     closed_at=(
                         _ts(item["closed_at"], issues_url, "issue closed_at")
@@ -377,7 +385,9 @@ def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = N
                 Commit(
                     repo_id=slug,
                     author=users[login],
-                    created_at=_ts(item["commit"]["author"]["date"], commits_url, "commit date"),
+                    created_at=_ts(
+                        _field(item, commits_url, "commit", "author", "date"), commits_url, "commit date"
+                    ),
                     lines_added=int(stats.get("additions", 0)),
                     lines_removed=int(stats.get("deletions", 0)),
                 )
@@ -414,7 +424,7 @@ def search_by_topic(topic: str, plan: FetchPlan, client: GitHubClient | None = N
             payload, next_url, _ = client.get(next_url)
             if not isinstance(payload, dict) or "items" not in payload:
                 raise PayloadDecodeError(url, "expected a search result object")
-            slugs.extend(item["full_name"] for item in payload["items"])
+            slugs.extend(_field(item, url, "full_name") for item in payload["items"])
             pages += 1
     return slugs
 

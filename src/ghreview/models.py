@@ -34,13 +34,13 @@ class Category(str, enum.Enum):
 CATEGORY_ORDER = (Category.RANDOM, Category.ROS, Category.POPULAR)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class User:
     login: str
     followers: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Comment:
     issue_id: str
     author: User
@@ -48,7 +48,7 @@ class Comment:
     body: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class Issue:
     id: str
     repo_id: str
@@ -60,7 +60,7 @@ class Issue:
     comments: list[Comment] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Commit:
     repo_id: str
     author: User
@@ -70,7 +70,7 @@ class Commit:
     issue_id: str | None = None  # optional explicit issue link
 
 
-@dataclass
+@dataclass(slots=True)
 class Repository:
     id: str
     category: Category

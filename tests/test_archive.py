@@ -176,6 +176,48 @@ def test_save_streams_lines_to_the_file(large_archive, tmp_path):
     assert peak <= 0.5 * out.stat().st_size
 
 
+# --- cyclic garbage collector ----------------------------------------------
+
+
+def test_load_pauses_the_collector_and_restores_it(large_archive, tmp_path):
+    broken = _write(tmp_path, META, USER_ANN, "{broken")
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        load_archive(large_archive)  # ~21k lines: dozens of passes with the collector on
+    finally:
+        gc.callbacks.remove(count)
+    assert passes == []
+    assert gc.isenabled()
+    with pytest.raises(ArchiveParseError):
+        load_archive(broken)
+    assert gc.isenabled()
+
+    gc.disable()
+    try:
+        load_archive(large_archive)
+        assert not gc.isenabled()
+        with pytest.raises(ArchiveParseError):
+            load_archive(broken)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_loaded_corpus_holds_no_reference_cycles(large_archive):
+    # so pausing the collector during a load delays no garbage
+    gc.collect()
+    corpus = load_archive(large_archive)
+    del corpus
+    assert gc.collect() == 0
+
+
 # --- strict mode -----------------------------------------------------------
 
 
@@ -321,6 +363,53 @@ def test_strict_load_raises_the_first_error_in_file_order(tmp_path):
     corpus = load_archive(path, lenient=True)
     assert sorted(r.line_no for r in corpus.rejected) == [3, 5]
     assert sorted(corpus.users) == ["ann", "bob"]
+
+
+USER_CAT = '{"kind":"user","login":"cat","followers":1}'
+JSON_LOADS = object()  # the row's verdict is json.loads's own
+
+
+@pytest.mark.parametrize(
+    ("line", "reason"),
+    [
+        pytest.param(" " + USER_CAT + "\n", None, id="leading-space"),
+        pytest.param("\ufeff" + USER_CAT + "\n", JSON_LOADS, id="bom"),
+        # str.strip() drops these two tails, json.loads does not
+        pytest.param(USER_CAT + "\xa0\n", JSON_LOADS, id="trailing-nbsp"),
+        pytest.param(USER_CAT + "\x0c\n", JSON_LOADS, id="trailing-form-feed"),
+        pytest.param(USER_CAT + "\r\n", None, id="crlf"),
+        pytest.param(USER_CAT + " x\n", JSON_LOADS, id="trailing-word"),
+        pytest.param(USER_CAT + "{}\n", JSON_LOADS, id="second-object"),
+        pytest.param("[1\n", JSON_LOADS, id="unclosed-array"),
+        pytest.param("{not json\n", JSON_LOADS, id="not-json"),
+        pytest.param(
+            '{"kind":"issue","id":"one/repo#9","repo":"one/repo","opener":"ann","created_at":NaN}\n',
+            "field 'created_at' must be a finite timestamp",
+            id="nan-timestamp",
+        ),
+    ],
+)
+def test_line_decode_matches_json_loads(tmp_path, line, reason):
+    path = tmp_path / "archive.ndjson"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join([META, USER_ANN, USER_BOB, REPO_ONE, ISSUE_ONE]) + "\n" + line)
+    with open(path, encoding="utf-8") as fh:
+        as_read = fh.readlines()[5]  # the line as the loader meets it, newline translated
+    if reason is JSON_LOADS:
+        with pytest.raises(json.JSONDecodeError) as decode_error:
+            json.loads(as_read)
+        reason = f"invalid JSON: {decode_error.value.msg}"
+    else:
+        json.loads(as_read)
+
+    if reason is None:
+        assert load_archive(path).users["cat"].followers == 1
+        assert load_archive(path, lenient=True).rejected == []
+        return
+    with pytest.raises(ArchiveParseError) as exc_info:
+        load_archive(path)
+    assert (exc_info.value.line_no, str(exc_info.value)) == (6, f"line 6: {reason}")
+    assert load_archive(path, lenient=True).rejected == [Rejection(6, f"line 6: {reason}")]
 
 
 def test_duplicate_repo_id_raises(tmp_path):

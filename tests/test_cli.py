@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import importlib.metadata
+import importlib.util
 import json
 import os
 import shutil
@@ -394,6 +395,28 @@ def test_fetch_names_the_url_of_a_bad_timestamp(capsys, tmp_path, keys, path):
 
 
 @pytest.mark.parametrize(
+    ("keys", "path", "field"),
+    [
+        pytest.param(("issues", 0, "created_at"), "/issues?state=all&per_page=100", "created_at", id="issue"),
+        pytest.param(("comments", 1, 0, "user"), "/issues/1/comments?per_page=100", "user.login", id="comment"),
+    ],
+)
+def test_fetch_names_the_url_of_a_missing_field(capsys, tmp_path, keys, path, field):
+    dataset = build_dataset()
+    payload = dataset["repos"][TOOLS]
+    for key in keys[:-1]:
+        payload = payload[key]
+    del payload[keys[-1]]
+    with fixture_server(dataset) as (_, base_url):
+        rc = main(["fetch", "--repo", TOOLS, "--base-url", base_url,
+                   "--out-archive", str(tmp_path / "out.ndjson")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: undecodable payload from {base_url}/repos/{TOOLS}{path}: missing field {field!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "content",
     [
         pytest.param('{"k": {"etag', id="truncated"),
@@ -614,6 +637,21 @@ def test_installed_script_round_trip(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for name in REPORT_FILES:
         assert (out / name).exists(), f"report did not write {name}"
+
+
+def test_cli_import_leaves_requests_unloaded():
+    # only GitHubClient needs requests; report, simulate and validate skip its import time
+    src = str(Path(importlib.util.find_spec("ghreview").origin).parents[1])
+    code = "import sys, ghreview.cli as cli; cli.build_parser(); print('requests' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_invocation_matches_script(tmp_path):
