@@ -44,31 +44,33 @@ ARCHIVE_VERSION = 1
 
 
 class ArchiveError(Exception):
-    """Base class for archive load failures."""
+    """Base class for archive load failures: ``reason`` at ``line_no``, the line
+    of the offending record or, for a record read from elsewhere, its source."""
+
+    def __init__(self, line_no, reason: str):
+        super().__init__(f"line {line_no}: {reason}")
+        self.line_no = line_no
+        self.reason = reason
 
 
 class ArchiveParseError(ArchiveError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
+    pass
 
 
 class ArchiveIntegrityError(ArchiveError):
-    def __init__(self, line_no: int, record_id: str, target_id: str, reason: str):
-        super().__init__(f"line {line_no}: {record_id} -> {target_id}: {reason}")
-        self.line_no = line_no
+    def __init__(self, line_no, record_id: str, target_id: str, reason: str):
+        super().__init__(line_no, f"{record_id} -> {target_id}: {reason}")
         self.record_id = record_id
         self.target_id = target_id
 
 
 class ArchiveInvariantError(ArchiveError):
-    def __init__(self, line_no: int, record_id: str, reason: str):
-        super().__init__(f"line {line_no}: {record_id}: {reason}")
-        self.line_no = line_no
+    def __init__(self, line_no, record_id: str, reason: str):
+        super().__init__(line_no, f"{record_id}: {reason}")
         self.record_id = record_id
 
 
-def _parse_timestamp(value, line_no: int, field: str) -> float:
+def _parse_timestamp(value, line_no, field: str) -> float:
     if type(value) is int or type(value) is float:  # exact types: a bool is no timestamp
         try:
             value = float(value)
@@ -81,7 +83,7 @@ def _parse_timestamp(value, line_no: int, field: str) -> float:
         try:
             dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
         except ValueError as exc:
-            raise ArchiveParseError(line_no, f"field {field!r}: bad timestamp {value!r}") from exc
+            raise ArchiveParseError(line_no, f"bad timestamp {value!r} in field {field!r}") from exc
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
         return dt.timestamp()
@@ -139,7 +141,7 @@ _TYPE_NAMES = {str: "a string", int: "an integer", bool: "a bool", list: "a list
 _FLOAT_MAX = sys.float_info.max
 
 
-def _read(record: dict, kind: str, line_no: int) -> list:
+def _read(record: dict, kind: str, line_no) -> list:
     """The values of a ``kind`` record's fields, in ``_FIELDS`` order."""
     values = []
     for key, _, json_type, default in _FIELDS[kind]:
@@ -161,7 +163,7 @@ def _read(record: dict, kind: str, line_no: int) -> list:
     return values
 
 
-def _dangling(line_no: int, record_id: str, key: str, what: str):
+def _dangling(line_no, record_id: str, key: str, what: str):
     """Raise for a reference to a ``what`` that no record defines.
 
     Callers write ``table.get(key) or _dangling(...)``: model objects are
@@ -170,18 +172,24 @@ def _dangling(line_no: int, record_id: str, key: str, what: str):
     raise ArchiveIntegrityError(line_no, record_id, key, f"reference to unknown {what}")
 
 
-def _enforce(broken: tuple, line_no: int, record_id: str) -> None:
+def _enforce(broken: tuple, line_no, record_id: str) -> None:
     """Raise on the first of the (field, rule) pairs a record breaks."""
     if broken:
         raise ArchiveInvariantError(line_no, record_id, broken[0][1])
 
 
 class _Loader:
-    """Two-phase loader: read and type-check each line, then link and check the records."""
+    """Two-phase loader: ``read`` type-checks each record into its kind's bucket,
+    then ``link`` resolves references, checks the rules and sorts.
+
+    A record's source, passed where errors take a line number, is its line in
+    an archive file, or the URL of a fetched payload.
+    """
 
     def __init__(self, lenient: bool):
         self.lenient = lenient
         self.rejected: list[Rejection] = []
+        self.by_kind: dict[str, list[tuple[object, list]]] = {kind: [] for kind in _FIELDS}
         self.users: dict[str, User] = {}
         self.repos: dict[str, Repository] = {}
         self.issues: dict[str, Issue] = {}
@@ -191,9 +199,15 @@ class _Loader:
             raise error
         self.rejected.append(Rejection(error.line_no, str(error)))
 
+    def read(self, source, kind: str, record: dict) -> None:
+        """Bucket the field values of one record of a known ``kind``."""
+        try:
+            self.by_kind[kind].append((source, _read(record, kind, source)))
+        except ArchiveError as err:
+            self.reject(err)
+
     def load(self, path) -> Corpus:
         meta = None
-        by_kind: dict[str, list[tuple[int, list]]] = {kind: [] for kind in _FIELDS}
         scan = make_scanner(json.JSONDecoder())  # the C scanner behind json.loads
         json_space = WHITESPACE.match
         with Path(path).open(encoding="utf-8") as fh:
@@ -226,16 +240,16 @@ class _Loader:
                     meta = {k: v for k, v in record.items() if k != "kind"}
                 elif kind == "meta":
                     self.reject(ArchiveParseError(line_no, "duplicate meta record"))
-                elif kind not in by_kind:
+                elif kind not in self.by_kind:
                     self.reject(ArchiveParseError(line_no, f"unknown record kind: {kind!r}"))
                 else:
-                    try:
-                        by_kind[kind].append((line_no, _read(record, kind, line_no)))
-                    except ArchiveError as err:
-                        self.reject(err)
+                    self.read(line_no, kind, record)
         if meta is None:
             raise ArchiveParseError(1, "archive must start with a meta header record")
+        return self.link(meta)
 
+    def link(self, meta: dict) -> Corpus:
+        """The corpus of every bucketed record, linked, checked and in canonical order."""
         # kinds in dependency order (each refers only to earlier kinds); a linked bucket is freed
         for kind, add in (
             ("user", self._add_user),
@@ -244,9 +258,9 @@ class _Loader:
             ("comment", self._add_comment),
             ("commit", self._add_commit),
         ):
-            for line_no, values in by_kind.pop(kind):
+            for source, values in self.by_kind.pop(kind):
                 try:
-                    add(line_no, *values)
+                    add(source, *values)
                 except ArchiveError as err:
                     self.reject(err)
 

@@ -34,7 +34,7 @@ from .analytics import (
     popularity_vs_comments,
     repo_summary,
 )
-from .archive import ArchiveError, load_archive, save_archive
+from .archive import ArchiveError, _atomic_write, load_archive, save_archive
 from .community import build_graph, ics, normalized_ics, export_graph
 from .fetcher import FetchError, FetchPlan, GitHubClient, fetch_corpus
 from .models import CATEGORY_ORDER, Category, Corpus, validate
@@ -114,7 +114,7 @@ def _write_manifest(
     }
     if counters is not None:
         manifest["counters"] = counters
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    with _atomic_write(os.path.join(out_dir, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

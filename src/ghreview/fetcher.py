@@ -13,8 +13,12 @@ Design notes, all load-bearing for the tests:
 - One rate budget object is shared by all workers under a lock; a 403
   with zero remaining raises immediately with the advertised reset time,
   and the client refuses to issue further requests until that time.
-- Follower counts are fetched once per distinct login per run, through a
-  small thread pool, and stamped into the corpus meta as a snapshot time.
+- Follower counts are fetched once per distinct login per repository,
+  through a small thread pool, and stamped into the corpus meta as a
+  snapshot time.
+- Payloads become archive records that the archive loader reads, links and
+  checks as it does an archive file's lines, so a fetch succeeds only on
+  data that a saved archive would load.
 - Fetching is idempotent: repositories are upserted by id, so an
   interrupted run rerun against the same cache converges to the same
   corpus as an uninterrupted one.
@@ -30,10 +34,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .archive import ArchiveParseError, _atomic_write, _parse_timestamp
-from .models import Category, Comment, Commit, Corpus, Issue, Repository, User
+from .archive import ArchiveError, _atomic_write, _Loader
+from .models import Category, Corpus, Repository, User
 
 __all__ = [
     "FetchPlan",
@@ -221,58 +225,58 @@ class GitHubClient:
                 self._dirty = True
         return payload, next_url, False
 
-    def paged(self, url: str) -> list:
-        """Follow next links up to max_pages, concatenating list payloads."""
-        out: list = []
+    def paged(self, url: str) -> list[tuple[str, dict]]:
+        """Follow next links up to max_pages; each object of the array pages beside its page's URL."""
+        out: list[tuple[str, dict]] = []
         pages = 0
         next_url: str | None = url
         while next_url is not None and pages < self.plan.max_pages:
-            payload, next_url, _ = self.get(next_url)
-            if not isinstance(payload, list):
-                raise PayloadDecodeError(url, "expected a JSON array page")
-            out.extend(payload)
+            page_url = next_url
+            payload, next_url, _ = self.get(page_url)
+            if not isinstance(payload, list) or not all(isinstance(item, dict) for item in payload):
+                raise PayloadDecodeError(page_url, "expected a JSON array of objects")
+            out.extend((page_url, item) for item in payload)
             pages += 1
         return out
 
 
-def _field(payload, url: str, *keys):
-    """``payload[key][key]...``; a missing level is blamed on the URL that sent it."""
+def _field(payload, url: str, *keys, optional: bool = False):
+    """``payload[key][key]...``; a missing level is blamed on the URL that sent it,
+    except that an absent or null level of an ``optional`` field reads as None."""
     for key in keys:
-        if not isinstance(payload, dict) or key not in payload:
+        if optional and payload is None:
+            return None
+        if not isinstance(payload, dict) or key not in payload and not optional:
             raise PayloadDecodeError(url, f"missing field {'.'.join(keys)!r}")
-        payload = payload[key]
+        payload = payload.get(key)
     return payload
 
 
-def _ts(value, url: str, what: str) -> float:
-    """A payload timestamp; a bad one is blamed on the URL that sent it."""
-    try:
-        return _parse_timestamp(value, 0, what)
-    except ArchiveParseError as exc:
-        raise PayloadDecodeError(url, f"bad timestamp {value!r} in {what}") from exc
+def _record(**fields) -> dict:
+    """An archive record of the given fields; a null one is absent, so it takes its default."""
+    return {key: value for key, value in fields.items() if value is not None}
 
 
 def _query(params: dict) -> str:
     return "&".join(f"{k}={v}" for k, v in params.items())
 
 
-def _fetch_users(client: GitHubClient, logins: set[str]) -> dict[str, User]:
-    """Resolve follower counts, one request per distinct login, in parallel."""
+def _user_records(client: GitHubClient, logins: set[str]) -> list[tuple[str, dict]]:
+    """A user record per login beside its URL, one request per login, in parallel."""
     base = client.plan.base_url
 
-    def one(login: str) -> User:
+    def one(login: str) -> tuple[str, dict]:
+        url = f"{base}/users/{login}"
         try:
-            payload, _, _ = client.get(f"{base}/users/{login}")
+            payload, _, _ = client.get(url)
         except _NotFound:
-            return User(login=login, followers=0)
+            return url, {"login": login}  # no account: no followers
         if not isinstance(payload, dict):
-            return User(login=login, followers=0)
-        return User(login=login, followers=int(payload.get("followers", 0)))
+            raise PayloadDecodeError(url, "expected a JSON object")
+        return url, _record(login=login, followers=payload.get("followers"))
 
-    ordered = sorted(logins)
     with ThreadPoolExecutor(max_workers=client.plan.workers) as pool:
-        resolved = list(pool.map(one, ordered))
-    return {user.login: user for user in resolved}
+        return list(pool.map(one, sorted(logins)))
 
 
 @contextmanager
@@ -294,10 +298,14 @@ def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = N
     """Fetch one repository's full event tree.
 
     Returns the repository plus every user it references, with follower
-    counts resolved.  Raises UnknownRepoError on 404.  The ETag cache is
-    written when the fetch ends, whether it succeeded or not.
+    counts resolved.  The archive loader reads, links and checks each payload
+    element as an archive record; one it rejects raises PayloadDecodeError
+    naming the URL that sent it.  Raises UnknownRepoError on 404.  The ETag
+    cache is written when the fetch ends, whether it succeeded or not.
     """
     client = client or GitHubClient(plan)
+    loader = _Loader(lenient=False)
+    logins: set[str] = set()  # filled from records the loader has read, so every login is a str
     with _persisting(client):
         repo_url = f"{plan.base_url}/repos/{slug}"
         page_query = _query({"per_page": plan.page_size})
@@ -307,106 +315,63 @@ def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = N
             raise UnknownRepoError(slug) from None
         if not isinstance(payload, dict):
             raise PayloadDecodeError(repo_url, "expected a JSON object")
-
-        owner_login = _field(payload, repo_url, "owner", "login")
-        created_at = _ts(_field(payload, repo_url, "created_at"), repo_url, "repo created_at")
-
-        contributors_payload = client.paged(f"{repo_url}/contributors?{page_query}")
-        contributor_logins = [c["login"] for c in contributors_payload if "login" in c]
-
-        issues_url = f"{repo_url}/issues?{_query({'state': 'all', 'per_page': plan.page_size})}"
-        issues_payload = client.paged(issues_url)
-
-        commits_url = f"{repo_url}/commits?{page_query}"
-        commits_payload = client.paged(commits_url)
-
-        logins: set[str] = {owner_login}
-        logins.update(contributor_logins)
-        comment_payloads: dict[int, tuple[str, list]] = {}  # issue number -> (URL, comments)
-        for item in issues_payload:
-            logins.add(_field(item, issues_url, "user", "login"))
-            if item.get("closed_by"):
-                logins.add(_field(item, issues_url, "closed_by", "login"))
-            if item.get("comments", 0):
-                number = _field(item, issues_url, "number")
-                url = f"{repo_url}/issues/{number}/comments?{page_query}"
-                comment_payloads[number] = url, client.paged(url)
-                logins.update(_field(c, url, "user", "login") for c in comment_payloads[number][1])
-        commit_authors: list[str | None] = []
-        for item in commits_payload:
-            author = item.get("author")
-            login = author["login"] if author and "login" in author else None
-            commit_authors.append(login)
-            if login:
-                logins.add(login)
-
-        users = _fetch_users(client, logins)
-
-        issues: list[Issue] = []
-        for item in issues_payload:  # the pass above read every login, so users[...] cannot miss
-            number = _field(item, issues_url, "number")
-            issue_id = f"{slug}#{number}"
-            closed_by = item.get("closed_by")
-            comments_url, comment_items = comment_payloads.get(number, ("", []))
-            comments = [
-                Comment(
-                    issue_id=issue_id,
-                    author=users[c["user"]["login"]],
-                    created_at=_ts(_field(c, comments_url, "created_at"), comments_url, "comment created_at"),
-                    body=c.get("body") or "",
-                )
-                for c in comment_items
-            ]
-            comments.sort(key=lambda c: c.created_at)
-            issues.append(
-                Issue(
-                    id=issue_id,
-                    repo_id=slug,
-                    opener=users[item["user"]["login"]],
-                    created_at=_ts(_field(item, issues_url, "created_at"), issues_url, "issue created_at"),
-                    closer=users[closed_by["login"]] if closed_by else None,
-                    closed_at=(
-                        _ts(item["closed_at"], issues_url, "issue closed_at")
-                        if item.get("closed_at")
-                        else None
-                    ),
+        contributors = client.paged(f"{repo_url}/contributors?{page_query}")
+        issues = client.paged(f"{repo_url}/issues?{_query({'state': 'all', 'per_page': plan.page_size})}")
+        commits = client.paged(f"{repo_url}/commits?{page_query}")
+        try:
+            repo = _record(
+                id=slug,
+                category=plan.category.value,
+                created_at=payload.get("created_at"),
+                owner=_field(payload, repo_url, "owner", "login"),
+                contributors=[c["login"] for _, c in contributors if "login" in c],
+                stargazers=payload.get("stargazers_count"),
+                forks=payload.get("forks_count"),
+                watchers=payload.get("subscribers_count", payload.get("watchers_count")),
+            )
+            loader.read(repo_url, "repo", repo)
+            logins.update([repo["owner"], *repo["contributors"]])
+            for url, item in issues:
+                number = _field(item, url, "number")
+                issue = _record(
+                    id=f"{slug}#{number}",
+                    repo=slug,
+                    opener=_field(item, url, "user", "login"),
+                    created_at=item.get("created_at"),
                     has_linked_code="pull_request" in item,
-                    comments=comments,
+                    closed_at=item.get("closed_at"),
+                    closer=_field(item, url, "closed_by", "login", optional=True),
                 )
-            )
-        issues.sort(key=lambda i: (i.created_at, i.id))
-
-        commits: list[Commit] = []
-        for item, login in zip(commits_payload, commit_authors):
-            if login is None:
-                continue  # commits without a resolvable account carry no reviewer signal
-            stats = item.get("stats") or {}
-            commits.append(
-                Commit(
-                    repo_id=slug,
-                    author=users[login],
-                    created_at=_ts(
-                        _field(item, commits_url, "commit", "author", "date"), commits_url, "commit date"
-                    ),
-                    lines_added=int(stats.get("additions", 0)),
-                    lines_removed=int(stats.get("deletions", 0)),
+                loader.read(url, "issue", issue)
+                logins.update(issue[key] for key in ("opener", "closer") if key in issue)
+                if item.get("comments", 0):
+                    for page_url, c in client.paged(f"{repo_url}/issues/{number}/comments?{page_query}"):
+                        comment = _record(
+                            issue=issue["id"],
+                            author=_field(c, page_url, "user", "login"),
+                            created_at=c.get("created_at"),
+                            body=c.get("body"),
+                        )
+                        loader.read(page_url, "comment", comment)
+                        logins.add(comment["author"])
+            for url, item in commits:
+                if not item.get("author"):
+                    continue  # commits without a resolvable account carry no reviewer signal
+                commit = _record(
+                    repo=slug,
+                    author=_field(item, url, "author", "login"),
+                    created_at=_field(item, url, "commit", "author", "date"),
+                    lines_added=_field(item, url, "stats", "additions", optional=True),
+                    lines_removed=_field(item, url, "stats", "deletions", optional=True),
                 )
-            )
-        commits.sort(key=lambda c: c.created_at)
-
-        repo = Repository(
-            id=slug,
-            category=plan.category,
-            created_at=created_at,
-            owner=users[owner_login],
-            contributors=tuple(users[login] for login in contributor_logins),
-            stargazers=int(payload.get("stargazers_count", 0)),
-            forks=int(payload.get("forks_count", 0)),
-            watchers=int(payload.get("subscribers_count", payload.get("watchers_count", 0))),
-            issues=issues,
-            commits=commits,
-        )
-        return repo, users
+                loader.read(url, "commit", commit)
+                logins.add(commit["author"])
+            for url, user in _user_records(client, logins):
+                loader.read(url, "user", user)
+            corpus = loader.link({})
+        except ArchiveError as err:  # a fetched record's source is the URL that sent it
+            raise PayloadDecodeError(err.line_no, err.reason) from None
+    return corpus.repos[0], corpus.users
 
 
 def search_by_topic(topic: str, plan: FetchPlan, client: GitHubClient | None = None) -> list[str]:
@@ -422,9 +387,13 @@ def search_by_topic(topic: str, plan: FetchPlan, client: GitHubClient | None = N
     with _persisting(client):
         while next_url is not None and pages < plan.max_pages:
             payload, next_url, _ = client.get(next_url)
-            if not isinstance(payload, dict) or "items" not in payload:
+            if not isinstance(payload, dict) or not isinstance(payload.get("items"), list):
                 raise PayloadDecodeError(url, "expected a search result object")
-            slugs.extend(_field(item, url, "full_name") for item in payload["items"])
+            for item in payload["items"]:
+                slug = _field(item, url, "full_name")
+                if not isinstance(slug, str):
+                    raise PayloadDecodeError(url, f"field 'full_name' must be a string, got {slug!r}")
+                slugs.append(slug)
             pages += 1
     return slugs
 
@@ -456,6 +425,6 @@ def fetch_corpus(
     meta.setdefault("snapshot_at", time.time())
     return Corpus(
         repos=sorted(repos.values(), key=lambda r: r.id),
-        users=users,
+        users=dict(sorted(users.items())),  # in login order, as a saved archive holds them
         meta=meta,
     )

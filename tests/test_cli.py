@@ -416,6 +416,81 @@ def test_fetch_names_the_url_of_a_missing_field(capsys, tmp_path, keys, path, fi
     assert "Traceback" not in err
 
 
+def _set(*path_and_value):
+    """A dataset edit: set ``dataset[path...]`` to the last argument."""
+    *path, key, value = path_and_value
+
+    def edit(dataset):
+        for step in path:
+            dataset = dataset[step]
+        dataset[key] = value
+
+    return edit
+
+
+_ISSUES = f"/repos/{TOOLS}/issues?state=all&per_page=100"
+_COMMENTS = f"/repos/{TOOLS}/issues/1/comments?per_page=100"
+_COMMITS = f"/repos/{TOOLS}/commits?per_page=100"
+
+
+# Each row is a payload the archive would not load; issue #1 of TOOLS opens at 05:00 and has
+# one comment, issue #2 opens at 10:00 and is closed at 11:00, and commit 1 has an author.
+@pytest.mark.parametrize(
+    ("edit", "path", "reason"),
+    [
+        pytest.param(_set("repos", TOOLS, "payload", "created_at", "2020-01-01T06:00:00Z"), _ISSUES,
+                     f"{TOOLS}#1: issue precedes repository created_at", id="repo-created-after-issue"),
+        pytest.param(_set("repos", TOOLS, "payload", "stargazers_count", -3), f"/repos/{TOOLS}",
+                     f"{TOOLS}: stargazers must be >= 0", id="negative-stargazers"),
+        pytest.param(_set("repos", TOOLS, "comments", 1, 0, "created_at", "2020-01-01T04:00:00Z"), _COMMENTS,
+                     f"{TOOLS}#1: comment precedes issue created_at", id="comment-before-issue"),
+        pytest.param(_set("repos", TOOLS, "issues", 1, "closed_at", "2020-01-01T09:00:00Z"), _ISSUES,
+                     f"{TOOLS}#2: closed_at must be >= created_at", id="closed-before-created"),
+        pytest.param(_set("repos", TOOLS, "commits", 1, "stats", "additions", -5), _COMMITS,
+                     f"{TOOLS}: line counts must be >= 0", id="negative-additions"),
+        pytest.param(_set("repos", TOOLS, "comments", 1, 0, "body", 12), _COMMENTS,
+                     "field 'body' must be a string", id="numeric-comment-body"),
+        pytest.param(lambda dataset: dataset["repos"][TOOLS]["issues"][1].pop("closed_by"), _ISSUES,
+                     f"{TOOLS}#2: closer present iff closed_at present", id="closed-without-closer"),
+        pytest.param(_set("repos", TOOLS, "commits", 1, "abc"), _COMMITS,
+                     "expected a JSON array of objects", id="commit-not-an-object"),
+        pytest.param(_set("repos", TOOLS, "contributors", 0, 5), f"/repos/{TOOLS}/contributors?per_page=100",
+                     "expected a JSON array of objects", id="contributor-not-an-object"),
+        pytest.param(_set("repos", TOOLS, "commits", 1, "stats", "additions", "many"), _COMMITS,
+                     "field 'lines_added' must be an integer", id="non-numeric-additions"),
+        pytest.param(_set("users", "amir", "many"), "/users/amir",
+                     "field 'followers' must be an integer", id="non-numeric-followers"),
+    ],
+)
+def test_fetch_stops_on_a_payload_the_archive_rejects(capsys, tmp_path, edit, path, reason):
+    dataset = build_dataset()
+    edit(dataset)
+    archive = tmp_path / "out.ndjson"
+    with fixture_server(dataset) as (_, base_url):
+        rc = main(["fetch", "--repo", TOOLS, "--base-url", base_url, "--out-archive", str(archive)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"error: undecodable payload from {base_url}{path}: {reason}\n" in err
+    assert "Traceback" not in err
+    assert not archive.exists()
+
+
+def test_failed_manifest_write_keeps_the_previous_manifest(tmp_path, monkeypatch):
+    archive = tmp_path / "out.ndjson"
+    with fixture_server() as (_, base_url):
+        assert main(_fetch_args(base_url, archive)) == 0
+        previous = (tmp_path / "manifest.json").read_bytes()
+
+        def failing_dump(obj, fh, **kwargs):
+            fh.write('{"tool": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        assert main(_fetch_args(base_url, archive)) == 1
+    assert (tmp_path / "manifest.json").read_bytes() == previous
+    assert list(tmp_path.glob(".manifest.json.*.tmp")) == []
+
+
 @pytest.mark.parametrize(
     "content",
     [

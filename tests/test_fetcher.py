@@ -11,6 +11,7 @@ from datetime import datetime, timezone
 
 import pytest
 
+from ghreview.archive import _encode, load_archive, save_archive
 from ghreview.fetcher import (
     BudgetExhaustedError,
     FetchError,
@@ -426,7 +427,48 @@ def test_unexpected_payload_shape_is_reported():
             client.paged(f"{base_url}/search/repositories?q=topic:{SEARCH_TOPIC}&per_page=100")
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param({"items": 5}, id="items-not-a-list"),
+        pytest.param({"items": [{"full_name": 5}]}, id="full-name-not-a-string"),
+    ],
+)
+def test_malformed_search_result_is_reported(monkeypatch, payload):
+    plan = _plan("http://127.0.0.1:9")
+    client = GitHubClient(plan)
+    monkeypatch.setattr(client, "get", lambda url: (payload, None, False))  # nothing is sent
+    with pytest.raises(PayloadDecodeError) as err:
+        search_by_topic(SEARCH_TOPIC, plan, client)
+    assert err.value.url == f"http://127.0.0.1:9/search/repositories?q=topic:{SEARCH_TOPIC}&per_page={PAGE}"
+
+
 # --- corpus assembly -------------------------------------------------------
+
+
+def _archive_lines(corpus) -> list[str]:
+    """Every record of a corpus as its archive line, in the corpus's own order."""
+    lines = [_encode("user", user) for user in corpus.users.values()]
+    for repo in corpus.repos:
+        lines.append(_encode("repo", repo))
+        for issue in repo.issues:
+            lines.append(_encode("issue", issue))
+            lines.extend(_encode("comment", comment) for comment in issue.comments)
+        lines.extend(_encode("commit", commit) for commit in repo.commits)
+    return lines
+
+
+def test_fetched_corpus_equals_its_archive_reloaded(tmp_path):
+    with fixture_server() as (_, base_url):
+        fetched = fetch_corpus(_plan(base_url, targets=(TOOLS, WIDGETS)))
+    save_archive(fetched, tmp_path / "fetched.ndjson")
+    loaded = load_archive(tmp_path / "fetched.ndjson")
+    assert _archive_lines(fetched) == _archive_lines(loaded)
+    assert [r.contributors for r in fetched.repos] == [r.contributors for r in loaded.repos]
+    assert len(_archive_lines(fetched)) == (
+        len(LOGIN_POOL) + 2 + TOOLS_ISSUES + WIDGETS_ISSUES + TOOLS_COMMENTS + WIDGETS_COMMENTS
+        + TOOLS_COMMITS_KEPT + WIDGETS_COMMITS_KEPT
+    )
 
 
 def test_fetch_corpus_upserts_by_repo_id(tmp_path):
