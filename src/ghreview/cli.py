@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -120,7 +121,11 @@ def _write_manifest(
 
 
 def _load(args: argparse.Namespace) -> Corpus:
-    return load_archive(args.input, lenient=args.lenient)
+    corpus = load_archive(args.input, lenient=args.lenient)
+    # The corpus lives until the command ends and holds no reference cycles:
+    # frozen, it is left out of every later collector pass.
+    gc.freeze()
+    return corpus
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    frozen = gc.get_freeze_count()
     try:
         return args.func(args)
     except (ArchiveError, FetchError, EmptySelectionError, InsufficientDataError) as exc:
@@ -559,6 +565,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if not frozen:  # thaw only what ``_load`` froze: a caller's own freeze stays
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -57,40 +57,50 @@ class E2Edge:
 class IssueCommunityGraph:
     """One repository's graph, held as its reviewer postings (the e1 edges).
 
-    Second-level edges are not stored.  The score, the isolated issues and
+    Neither edge set is stored.  The score, the isolated issues and
     connectivity read one neighbour bitmask per issue, computed once from
-    the postings; ``e2_edges`` derives the edge list from them on each read.
+    the postings; ``e1_edges`` and ``e2_edges`` are derived on each read.
     """
 
     repo_id: str
     issue_nodes: tuple[str, ...]
-    reviewer_nodes: tuple[str, ...]
-    e1_edges: tuple[E1Edge, ...]
+    postings: dict[User, dict[str, int]]
+
+    @property
+    def reviewer_nodes(self) -> tuple[str, ...]:
+        return tuple(sorted({user.login for user in self.postings}))
+
+    @property
+    def e1_edges(self) -> tuple[E1Edge, ...]:
+        """Reviewer-to-issue edges, ordered by (reviewer, issue)."""
+        rows = sorted((u.login, issue, n) for u, reviewed in self.postings.items() for issue, n in reviewed.items())
+        return tuple(E1Edge(*row) for row in rows)
 
     @cached_property
     def _neighbours(self) -> list[int]:
         """Per issue node, a bitmask over issue_nodes of the other issues sharing a reviewer with it."""
-        index = {issue: k for k, issue in enumerate(self.issue_nodes)}
-        reviewed = dict.fromkeys(self.reviewer_nodes, 0)
-        for edge in self.e1_edges:
-            reviewed[edge.reviewer] |= 1 << index[edge.issue]
-        masks = [0] * len(self.issue_nodes)
-        for edge in self.e1_edges:
-            masks[index[edge.issue]] |= reviewed[edge.reviewer]
-        return [mask & ~(1 << k) for k, mask in enumerate(masks)]
+        bit = {issue: 1 << k for k, issue in enumerate(self.issue_nodes)}
+        masks = dict.fromkeys(self.issue_nodes, 0)
+        for reviewed in self.postings.values():
+            mask = 0
+            for issue in reviewed:
+                mask |= bit[issue]
+            for issue in reviewed:
+                masks[issue] |= mask
+        return [mask & ~(1 << k) for k, mask in enumerate(masks.values())]
 
     @property
     def e2_edges(self) -> tuple[E2Edge, ...]:
         """Issue pairs sharing reviewers, ordered by (issue_a, issue_b)."""
         index = {issue: k for k, issue in enumerate(self.issue_nodes)}
-        issues_of: dict[str, list[int]] = {}
-        reviewers_of: list[list[str]] = [[] for _ in self.issue_nodes]
-        for edge in self.e1_edges:
-            issues_of.setdefault(edge.reviewer, []).append(index[edge.issue])
-            reviewers_of[index[edge.issue]].append(edge.reviewer)
+        issues_of = [[index[issue] for issue in reviewed] for reviewed in self.postings.values()]
+        reviewers_of: list[list[int]] = [[] for _ in self.issue_nodes]
+        for r, reviewed in enumerate(issues_of):
+            for k in reviewed:
+                reviewers_of[k].append(r)
         edges: list[E2Edge] = []
         for a, reviewers in enumerate(reviewers_of):
-            shared = Counter(b for login in reviewers for b in issues_of[login] if b > a)
+            shared = Counter(b for r in reviewers for b in issues_of[r] if b > a)
             edges.extend(
                 E2Edge(issue_a=self.issue_nodes[a], issue_b=self.issue_nodes[b], weight=shared[b])
                 for b in sorted(shared)
@@ -119,17 +129,7 @@ def build_graph(
     """The repository's graph; ``postings`` are its ``reviewer_postings`` if the caller holds them."""
     if postings is None:
         postings = reviewer_postings(repo.issues)
-    e1 = [
-        E1Edge(reviewer=user.login, issue=issue, weight=n)
-        for user, reviewed in postings.items()
-        for issue, n in reviewed.items()
-    ]
-    return IssueCommunityGraph(
-        repo_id=repo.id,
-        issue_nodes=tuple(sorted({issue.id for issue in repo.issues})),
-        reviewer_nodes=tuple(sorted({user.login for user in postings})),
-        e1_edges=tuple(sorted(e1, key=lambda e: (e.reviewer, e.issue))),
-    )
+    return IssueCommunityGraph(repo.id, tuple(sorted({issue.id for issue in repo.issues})), postings)
 
 
 def ics(graph: IssueCommunityGraph) -> ICSReport:

@@ -115,8 +115,9 @@ class RateBudget:
             self.reset_at = float(reset_at)
 
 
-class _NotFound(Exception):
-    pass
+class _NotFound(FetchError):
+    def __init__(self, url: str):
+        super().__init__(f"HTTP 404 from {url}")
 
 
 def _is_cache_entry(entry) -> bool:
@@ -333,6 +334,8 @@ def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = N
             logins.update([repo["owner"], *repo["contributors"]])
             for url, item in issues:
                 number = _field(item, url, "number")
+                if type(number) is not int:  # it becomes part of an issue id and a URL path
+                    raise PayloadDecodeError(url, f"field 'number' must be an integer, got {number!r}")
                 issue = _record(
                     id=f"{slug}#{number}",
                     repo=slug,

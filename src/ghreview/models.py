@@ -154,8 +154,14 @@ def reviewer_postings(issues: Iterable[Issue]) -> dict[User, dict[str, int]]:
     """
     postings: dict[User, dict[str, int]] = {}
     for issue in issues:
-        for user, n in reviewer_comment_counts(issue).items():
-            postings.setdefault(user, {})[issue.id] = n
+        opener, issue_id = issue.opener.login, issue.id
+        for c in issue.comments:
+            author = c.author
+            if author.login != opener:
+                reviewed = postings.get(author)
+                if reviewed is None:
+                    reviewed = postings[author] = {}
+                reviewed[issue_id] = reviewed.get(issue_id, 0) + 1
     return postings
 
 

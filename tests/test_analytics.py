@@ -34,6 +34,7 @@ from ghreview.models import (
     User,
     issue_reviewers,
     received_comment_count,
+    reviewer_comment_counts,
     reviewer_postings,
 )
 from ghreview.community import build_graph, ics
@@ -358,6 +359,25 @@ def _assert_index_matches_direct(corpus: Corpus) -> None:
 def test_index_matches_direct_computation_on_random_corpora():
     for seed in range(30):
         _assert_index_matches_direct(random_corpus(seed, n_repos=6))
+
+
+def _per_issue_postings(issues) -> list[tuple[User, list[tuple[str, int]]]]:
+    """``reviewer_postings`` built issue by issue from ``reviewer_comment_counts``, as ordered pairs."""
+    postings: dict[User, dict[str, int]] = {}
+    for issue in issues:
+        for user, n in reviewer_comment_counts(issue).items():
+            postings.setdefault(user, {})[issue.id] = n
+    return [(user, list(reviewed.items())) for user, reviewed in postings.items()]
+
+
+def test_postings_equal_the_per_issue_oracle_in_order(tiny_corpus):
+    for corpus in [tiny_corpus] + [random_corpus(seed, n_repos=6) for seed in range(30)]:
+        for repo in corpus.repos:
+            for issues in (repo.issues, repo.issues_by_time(), repo.issues[::-1]):
+                postings = reviewer_postings(issues)
+                assert [(u, list(r.items())) for u, r in postings.items()] == _per_issue_postings(issues)
+                for issue in issues:
+                    assert sum(r.get(issue.id, 0) for r in postings.values()) == received_comment_count(issue)
 
 
 def test_index_sorts_issues_given_out_of_time_order():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import importlib.metadata
 import importlib.util
@@ -16,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from ghreview import __version__, analytics, community
-from ghreview.archive import load_archive, save_archive
+from ghreview import __version__, analytics, cli, community
+from ghreview.archive import ArchiveError, load_archive, save_archive
 from ghreview.cli import REPORT_FILES, main
 from ghreview.community import build_graph, ics
 from ghreview.models import Category, Corpus, Issue, Repository, User, reviewer_postings
@@ -222,6 +223,60 @@ def test_community_scores_match_library(tiny_path, tiny_corpus, out_dir):
         assert row[7] == ("true" if report.exceeds_one else "false")
 
 
+# Every byte `community --export-graphs` writes for the tiny fixture; a CSV row ends in CRLF.
+EXPORTED_GRAPHS = {
+    "labA_core_e1.csv": [
+        "reviewer,issue,weight",
+        "alice,labA/core#4,1",
+        "bob,labA/core#3,1",
+        "carol,labA/core#1,1",
+        "carol,labA/core#2,1",
+        "carol,labA/core#3,1",
+        "carol,labA/core#5,1",
+        "dave,labA/core#1,1",
+        "dave,labA/core#3,1",
+    ],
+    "labA_core_e2.csv": [
+        "issue_a,issue_b,weight",
+        "labA/core#1,labA/core#2,1",
+        "labA/core#1,labA/core#3,2",
+        "labA/core#1,labA/core#5,1",
+        "labA/core#2,labA/core#3,1",
+        "labA/core#2,labA/core#5,1",
+        "labA/core#3,labA/core#5,1",
+    ],
+    "labB_rosbot_e1.csv": [
+        "reviewer,issue,weight",
+        "frank,labB/rosbot#1,2",
+        "frank,labB/rosbot#2,1",
+        "gina,labB/rosbot#2,2",
+        "gina,labB/rosbot#3,1",
+        "hank,labB/rosbot#1,1",
+        "hank,labB/rosbot#2,1",
+    ],
+    "labB_rosbot_e2.csv": [
+        "issue_a,issue_b,weight",
+        "labB/rosbot#1,labB/rosbot#2,2",
+        "labB/rosbot#2,labB/rosbot#3,1",
+    ],
+    "labC_webapp_e1.csv": [
+        "reviewer,issue,weight",
+        "kate,labC/webapp#2,1",
+        "olga,labC/webapp#1,1",
+        "olga,labC/webapp#2,2",
+        "olga,labC/webapp#3,1",
+        "pete,labC/webapp#2,1",
+        "pete,labC/webapp#3,1",
+    ],
+    "labC_webapp_e2.csv": [
+        "issue_a,issue_b,weight",
+        "labC/webapp#1,labC/webapp#2,1",
+        "labC/webapp#1,labC/webapp#3,1",
+        "labC/webapp#2,labC/webapp#3,2",
+    ],
+}
+
+
 def test_community_graph_export(tiny_path, out_dir):
     assert main(["community", "--in", tiny_path, "--out", out_dir, "--export-graphs"]) == 0
     graph_dir = os.path.join(out_dir, "graphs")
@@ -230,6 +285,10 @@ def test_community_graph_export(tiny_path, out_dir):
     assert len(names) == 6
     assert sum(name.endswith("_e1.csv") for name in names) == 3
     assert sum(name.endswith("_e2.csv") for name in names) == 3
+    assert names == sorted(EXPORTED_GRAPHS)
+    for name, rows in EXPORTED_GRAPHS.items():
+        with open(os.path.join(graph_dir, name), "rb") as fh:
+            assert fh.read() == "".join(f"{row}\r\n" for row in rows).encode(), name
 
 
 # --- expertise -------------------------------------------------------------
@@ -475,6 +534,32 @@ def test_fetch_stops_on_a_payload_the_archive_rejects(capsys, tmp_path, edit, pa
     assert not archive.exists()
 
 
+# Issue #1 of TOOLS has one comment, so its number goes into a comments URL; the fixture
+# server answers 404 for a path whose number is not a run of digits.
+@pytest.mark.parametrize(
+    ("number", "error"),
+    [
+        pytest.param("1/x", "undecodable payload from {base}" + _ISSUES + ": field 'number' must be an integer, got '1/x'",
+                     id="number-not-an-int"),
+        pytest.param(True, "undecodable payload from {base}" + _ISSUES + ": field 'number' must be an integer, got True",
+                     id="number-a-bool"),
+        pytest.param(-1, "HTTP 404 from {base}/repos/" + TOOLS + "/issues/-1/comments?per_page=100",
+                     id="comments-page-404"),
+    ],
+)
+def test_fetch_reports_a_bad_issue_number_or_missing_page(capsys, tmp_path, number, error):
+    dataset = build_dataset()
+    dataset["repos"][TOOLS]["issues"][0]["number"] = number
+    archive = tmp_path / "out.ndjson"
+    with fixture_server(dataset) as (_, base_url):
+        rc = main(["fetch", "--repo", TOOLS, "--base-url", base_url, "--out-archive", str(archive)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"error: {error.format(base=base_url)}\n" in err
+    assert "Traceback" not in err
+    assert not archive.exists()
+
+
 def test_failed_manifest_write_keeps_the_previous_manifest(tmp_path, monkeypatch):
     archive = tmp_path / "out.ndjson"
     with fixture_server() as (_, base_url):
@@ -638,6 +723,70 @@ def test_report_computes_each_repository_quantity_once(tmp_path, monkeypatch, so
     assert sorted(graphs) == repo_ids
     # single-repo categories stop before any correlation reads the reference time
     assert len(reference_calls) == (0 if source == "tiny" else 1)
+
+
+def _collector_state() -> tuple[int, bool]:
+    return gc.get_freeze_count(), gc.isenabled()
+
+
+def test_report_runs_with_the_corpus_frozen(tiny_path, tmp_path, monkeypatch):
+    seen = []
+    real = cli.popularity_vs_comments
+
+    def watched(corpus):
+        seen.append(_collector_state())
+        return real(corpus)
+
+    monkeypatch.setattr(cli, "popularity_vs_comments", watched)
+    before = _collector_state()
+    assert before[0] == 0
+    assert _run_report(tiny_path, tmp_path / "report") == 0
+    assert len(seen) == 1 and seen[0][0] > 0 and seen[0][1] == before[1]
+    assert _collector_state() == before
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [
+        pytest.param(None, id="bad-archive"),
+        pytest.param(ArchiveError(7, "broken"), id="archive-error-after-load"),
+        pytest.param(RuntimeError("stage bug"), id="uncaught-error-after-load"),
+    ],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_failed_command_restores_the_collector(tiny_path, tmp_path, monkeypatch, failure, enabled):
+    archive = tiny_path
+    if failure is None:
+        archive = str(tmp_path / "bad.ndjson")
+        (tmp_path / "bad.ndjson").write_text(open(tiny_path).read() + '{"kind":"widget"}\n')
+    else:
+        def failing(corpus):
+            assert gc.get_freeze_count() > 0
+            raise failure
+
+        monkeypatch.setattr(cli, "popularity_vs_comments", failing)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        before = _collector_state()
+        if isinstance(failure, RuntimeError):
+            with pytest.raises(RuntimeError):
+                _run_report(archive, tmp_path / "report")
+        else:
+            assert _run_report(archive, tmp_path / "report") == 1
+        assert _collector_state() == before
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_a_callers_freeze_outlives_main(tiny_path, tmp_path):
+    gc.freeze()
+    try:
+        assert gc.get_freeze_count() > 0
+        assert _run_report(tiny_path, tmp_path / "report") == 0
+        assert gc.get_freeze_count() > 0  # main thaws only a freeze of its own
+    finally:
+        gc.unfreeze()
 
 
 # --- console entry point ---------------------------------------------------

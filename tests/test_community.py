@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+from ghreview import community
 from ghreview.community import build_graph, export_graph, ics, is_connected, normalized_ics
 from ghreview.models import Category, Comment, Issue, Repository, User
 
@@ -233,6 +234,45 @@ def test_e1_weights_count_comments_exactly():
     graph = build_graph(_repo_from_sets("x/w", sets))
     weights = {(e.reviewer, e.issue.split("#")[1]): e.weight for e in graph.e1_edges}
     assert weights == {("a", "1"): 3, ("b", "1"): 1, ("a", "2"): 2}
+
+
+def test_e1_edges_and_reviewer_nodes_are_sorted():
+    # reviewers first seen out of login order, issue ids whose string order is not numeric order
+    sets = [{"zed": 1, "amy": 2}] + [{"Bob": 1}] * 8 + [{"zed": 1}, {"amy": 1, "Bob": 3}, {"zed": 2}]
+    graph = build_graph(_repo_from_sets("x/o", sets))
+    assert graph.reviewer_nodes == ("Bob", "amy", "zed")
+    pairs = [(e.reviewer, e.issue) for e in graph.e1_edges]
+    expected = sorted((login, f"x/o#{k + 1}") for k, counts in enumerate(sets) for login in counts)
+    assert pairs == expected
+    assert pairs[pairs.index(("zed", "x/o#1")):] == [("zed", "x/o#1"), ("zed", "x/o#10"), ("zed", "x/o#12")]
+    assert [(e.issue, e.weight) for e in graph.e1_edges if e.reviewer == "Bob"][:2] == [("x/o#11", 3), ("x/o#2", 1)]
+
+
+def test_graph_builds_no_e1_edge_until_e1_edges_is_read(monkeypatch):
+    built = []
+    real = community.E1Edge
+
+    def counted(*args, **kwargs):
+        built.append(args or kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(community, "E1Edge", counted)
+    sets = [{"hub": 1, f"rev{k % 7}": 2} for k in range(300)]
+    graph = build_graph(_repo_from_sets("x/hub", sets))
+    report = ics(graph)
+    assert is_connected(graph) and normalized_ics(graph) == 1.0
+    assert report.e2_count == 300 * 299 // 2 and report.isolated_issues == ()
+    assert built == []
+    assert len(graph.e1_edges) == len(built) == 600
+
+
+def test_score_and_edge_list_agree_when_two_users_share_a_login():
+    # an invalid corpus (``validate`` flags the login); the kernel and the edge list must still agree
+    repo = _repo_from_sets("x/dup", [{"r": 1}, {"r": 1}])
+    repo.issues[1].comments[0].author = User(login="r", followers=5)
+    graph = build_graph(repo)
+    assert ics(graph).e2_count == len(graph.e2_edges)
+    assert is_connected(graph) == bool(graph.e2_edges)
 
 
 # --- connectivity and the clamped variant ----------------------------------

@@ -329,6 +329,14 @@ def test_server_error_becomes_fetch_error():
             fetch_repository(WIDGETS, _plan(base_url))
 
 
+def test_missing_page_becomes_fetch_error_naming_its_url():
+    with fixture_server() as (_, base_url):
+        url = f"{base_url}/repos/{TOOLS}/no-such-listing"
+        with pytest.raises(FetchError) as err:
+            GitHubClient(_plan(base_url)).paged(url)
+    assert str(err.value) == f"HTTP 404 from {url}"
+
+
 # --- interruption and resumption -------------------------------------------
 
 
