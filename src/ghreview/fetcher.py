@@ -10,6 +10,10 @@ Design notes, all load-bearing for the tests:
   writes nothing.  Exceptions and interrupts still write every page
   fetched so far; a process killed outright loses the pages of the
   repository in flight, which the next run fetches again.
+- Requests go out over stdlib ``http.client`` on keep-alive connections
+  pooled per origin (scheme and host).  The proxy environment
+  (``http_proxy``, ``https_proxy``, ``no_proxy``) is read when a connection
+  opens, not per request.  Redirects are followed, gzip bodies decoded.
 - One rate budget object is shared by all workers under a lock; a 403
   with zero remaining raises immediately with the advertised reset time,
   and the client refuses to issue further requests until that time.
@@ -30,12 +34,15 @@ import hashlib
 import json
 import logging
 import os
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from urllib.parse import quote, urljoin, urlsplit
 
+from . import __version__
 from .archive import ArchiveError, _atomic_write, _Loader
 from .models import Category, Corpus, Repository, User
 
@@ -56,6 +63,11 @@ log = logging.getLogger(__name__)
 
 DEFAULT_BASE_URL = "https://api.github.com"
 TOKEN_ENV_VAR = "GITHUB_TOKEN"
+_TIMEOUT_S = 30
+_REDIRECTS = frozenset({301, 302, 307, 308})
+_MAX_REDIRECTS = 5
+_LINK_ENTRY_SPLIT = re.compile(r",\s*(?=<)")  # a comma inside a URL is not a separator
+_URL_SAFE = "!#$%&'()*+,/:;=?@[]~"  # left as they are when a URL is escaped for the request line
 
 
 class FetchError(Exception):
@@ -147,22 +159,48 @@ def _load_cache(path: str) -> dict[str, dict]:
     return cache
 
 
+def _next_link(header: str | None) -> str | None:
+    """The ``rel="next"`` URL of a Link header, or None."""
+    for entry in _LINK_ENTRY_SPLIT.split(header or ""):
+        url, _, params = entry.partition(";")
+        for param in params.split(";"):
+            name, _, value = param.partition("=")
+            if name.strip() == "rel" and value.strip(" '\"") == "next":
+                return url.strip(" <>'\"")
+    return None
+
+
+def _json_body(url: str, headers, body: bytes):
+    """A response body's JSON document, gunzipped first if the server compressed it."""
+    import gzip  # here, not at module level: commands that never fetch skip its import cost
+    import zlib
+
+    try:
+        if headers.get("Content-Encoding") == "gzip":
+            body = gzip.decompress(body)
+        return json.loads(body)
+    except (ValueError, OSError, EOFError, zlib.error) as exc:
+        raise PayloadDecodeError(url, str(exc)) from exc
+
+
 class GitHubClient:
-    """Session wrapper owning the ETag cache and the shared rate budget.
+    """HTTP client owning the ETag cache, the shared rate budget and a pool
+    of keep-alive connections.
 
     ``requests`` counts the responses received and ``not_modified`` the 304s
-    among them.
+    among them.  Idle connections wait in a pool per origin (scheme and
+    host); a request takes one or opens another, and gives it back once the
+    response is read.  ``close`` closes the idle ones.
     """
 
     def __init__(self, plan: FetchPlan):
-        import requests  # here, not at module level: commands that never fetch skip its import cost
-
         self.plan = plan
-        self.session = requests.Session()
         self.budget = RateBudget()
         self.requests = 0
         self.not_modified = 0
         self._lock = threading.Lock()
+        self._idle: dict[tuple[str, str], list] = {}
+        self._tls = None  # the ssl context, made when the first https connection opens
         self._cache: dict[str, dict] = {}
         self._dirty = False
         self._cache_path = None
@@ -172,7 +210,11 @@ class GitHubClient:
             if os.path.exists(self._cache_path):
                 self._cache = _load_cache(self._cache_path)
         token = plan.token or os.environ.get(TOKEN_ENV_VAR)
-        self._headers = {"Accept": "application/vnd.github+json"}
+        self._headers = {
+            "Accept": "application/vnd.github+json",
+            "Accept-Encoding": "gzip",
+            "User-Agent": f"ghreview/{__version__}",  # GitHub refuses API requests without one
+        }
         if token:
             self._headers["Authorization"] = f"Bearer {token}"
 
@@ -184,8 +226,16 @@ class GitHubClient:
             if self._cache_path is None or not self._dirty:
                 return
             with _atomic_write(self._cache_path) as fh:
-                json.dump(self._cache, fh)
+                fh.write(json.dumps(self._cache))  # one call: the C encoder, not json.dump's chunks
             self._dirty = False
+
+    def close(self) -> None:
+        """Close every idle connection; a later request opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for connections in idle.values():
+            for conn, _ in connections:
+                conn.close()
 
     @staticmethod
     def _key(url: str) -> str:
@@ -201,43 +251,149 @@ class GitHubClient:
         headers = dict(self._headers)
         if cached is not None:
             headers["If-None-Match"] = cached["etag"]
-        response = self.session.get(url, headers=headers, timeout=30)
+        status, response_headers, body = self._follow(url, headers)
         with self._lock:
             self.requests += 1
-            self.budget.update(response.headers)
-            if response.status_code == 304 and cached is not None:
+            self.budget.update(response_headers)
+            if status == 304 and cached is not None:
                 self.not_modified += 1
                 return cached["body"], cached["next"], True
-            if response.status_code == 403 and self.budget.remaining == 0:
+            if status == 403 and self.budget.remaining == 0:
                 raise BudgetExhaustedError(self.budget.reset_at)
-        if response.status_code == 404:
+        if status == 404:
             raise _NotFound(url)
-        if response.status_code >= 400:
-            raise FetchError(f"HTTP {response.status_code} from {url}")
-        try:
-            payload = response.json()
-        except ValueError as exc:
-            raise PayloadDecodeError(url, str(exc)) from exc
-        next_url = response.links.get("next", {}).get("url")
-        etag = response.headers.get("ETag")
+        if status >= 400:
+            raise FetchError(f"HTTP {status} from {url}")
+        payload = _json_body(url, response_headers, body)
+        next_url = _next_link(response_headers.get("Link"))
+        etag = response_headers.get("ETag")
         if etag:
             with self._lock:
                 self._cache[key] = {"etag": etag, "body": payload, "next": next_url}
                 self._dirty = True
         return payload, next_url, False
 
+    def _follow(self, url: str, headers: dict[str, str]):
+        """GET a URL and the redirects it answers with: the last (status, headers, body).
+
+        A redirect to another origin drops the Authorization header.  A
+        malformed response raises FetchError naming the URL that sent it.
+        """
+        import http.client
+
+        for _ in range(_MAX_REDIRECTS + 1):
+            try:
+                status, response_headers, body = self._send(url, headers)
+            except http.client.HTTPException as exc:
+                raise FetchError(f"bad HTTP response from {url}: {exc!r}") from exc
+            location = response_headers.get("Location")
+            if status not in _REDIRECTS or not location:
+                return status, response_headers, body
+            target = urljoin(url, location)
+            if urlsplit(target)[:2] != urlsplit(url)[:2]:
+                headers = {k: v for k, v in headers.items() if k != "Authorization"}
+            url = target
+        raise FetchError(f"more than {_MAX_REDIRECTS} redirects, the last to {url}")
+
+    def _send(self, url: str, headers: dict[str, str]):
+        """One GET on an idle connection to the URL's origin, or on a new one.
+
+        A reused connection that fails before a status line arrives was
+        closed by the server while idle, so the request is sent once more on
+        a new connection.  After a status line nothing is resent.
+        """
+        url = quote(url, safe=_URL_SAFE)  # a space or a non-ASCII character goes out %-escaped
+        parts = urlsplit(url)
+        origin = (parts.scheme, parts.netloc)
+        target = parts.path or "/"
+        if parts.query:
+            target += "?" + parts.query
+        with self._lock:
+            idle = self._idle.get(origin)
+            entry = idle.pop() if idle else None
+        response = None
+        if entry is not None:
+            try:
+                response = self._start(entry, url, target, headers)
+            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is a ConnectionResetError
+                entry = None
+        if entry is None:
+            entry = self._open(parts)
+            response = self._start(entry, url, target, headers)
+        connection = entry[0]
+        try:
+            body = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            with self._lock:
+                self._idle.setdefault(origin, []).append(entry)
+        return response.status, response.headers, body
+
+    @staticmethod
+    def _start(entry, url: str, target: str, headers: dict[str, str]):
+        """Send the request and read the status line and headers; a failure closes the connection."""
+        connection, absolute = entry
+        try:
+            connection.request("GET", url if absolute else target, headers=headers)
+            return connection.getresponse()
+        except BaseException:
+            connection.close()
+            raise
+
+    def _open(self, parts):
+        """A new connection to an origin, with whether requests on it carry the absolute URL.
+
+        The proxy environment is read here, once per connection: an http
+        origin goes through ``http_proxy`` with absolute URLs, an https one
+        tunnels through ``https_proxy``, unless ``no_proxy`` names its host.
+        """
+        import http.client  # here, not at module level: commands that never fetch skip its import cost
+        import ssl
+        import urllib.request
+
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise FetchError(f"cannot fetch {parts.geturl()}: not an http or https URL")
+        address = parts.netloc.rpartition("@")[2]  # host[:port], without any user:password@
+        host, port = address, None
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        if proxy and not urllib.request.proxy_bypass(address):
+            proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            host, port = proxy_parts.hostname, proxy_parts.port or 80
+        else:
+            proxy = None
+        if parts.scheme == "http":
+            return http.client.HTTPConnection(host, port, timeout=_TIMEOUT_S), proxy is not None
+        with self._lock:
+            if self._tls is None:
+                self._tls = ssl.create_default_context()
+        connection = http.client.HTTPSConnection(host, port, timeout=_TIMEOUT_S, context=self._tls)
+        if proxy is not None:
+            connection.set_tunnel(address)
+        return connection, False
+
+    def _pages(self, url: str):
+        """Each page's (URL, payload), following next links for up to max_pages pages;
+        a listing that goes on past them is cut there with a warning."""
+        next_url: str | None = url
+        for _ in range(self.plan.max_pages):
+            page_url = next_url
+            payload, next_url, _ = self.get(page_url)
+            yield page_url, payload
+            if next_url is None:
+                return
+        log.warning("stopped %s after max_pages=%d; later pages were not fetched", url, self.plan.max_pages)
+
     def paged(self, url: str) -> list[tuple[str, dict]]:
         """Follow next links up to max_pages; each object of the array pages beside its page's URL."""
         out: list[tuple[str, dict]] = []
-        pages = 0
-        next_url: str | None = url
-        while next_url is not None and pages < self.plan.max_pages:
-            page_url = next_url
-            payload, next_url, _ = self.get(page_url)
+        for page_url, payload in self._pages(url):
             if not isinstance(payload, list) or not all(isinstance(item, dict) for item in payload):
                 raise PayloadDecodeError(page_url, "expected a JSON array of objects")
             out.extend((page_url, item) for item in payload)
-            pages += 1
         return out
 
 
@@ -282,8 +438,9 @@ def _user_records(client: GitHubClient, logins: set[str]) -> list[tuple[str, dic
 
 @contextmanager
 def _persisting(client: GitHubClient):
-    """Write the client's cache when the block ends; if the block failed, a cache
-    write error is logged rather than raised in place of the block's error."""
+    """Write the client's cache and close its idle connections when the block
+    ends; if the block failed, a cache write error is logged rather than raised
+    in place of the block's error."""
     try:
         yield
     except BaseException:
@@ -292,7 +449,10 @@ def _persisting(client: GitHubClient):
         except OSError as cache_error:
             log.warning("ETag cache not written: %s", cache_error)
         raise
-    client.persist_cache()
+    else:
+        client.persist_cache()
+    finally:
+        client.close()
 
 
 def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = None) -> tuple[Repository, dict[str, User]]:
@@ -385,11 +545,8 @@ def search_by_topic(topic: str, plan: FetchPlan, client: GitHubClient | None = N
     base = plan.base_url
     url = f"{base}/search/repositories?{_query({'q': f'topic:{topic}', 'per_page': plan.page_size})}"
     slugs: list[str] = []
-    pages = 0
-    next_url: str | None = url
     with _persisting(client):
-        while next_url is not None and pages < plan.max_pages:
-            payload, next_url, _ = client.get(next_url)
+        for _, payload in client._pages(url):
             if not isinstance(payload, dict) or not isinstance(payload.get("items"), list):
                 raise PayloadDecodeError(url, "expected a search result object")
             for item in payload["items"]:
@@ -397,7 +554,6 @@ def search_by_topic(topic: str, plan: FetchPlan, client: GitHubClient | None = N
                 if not isinstance(slug, str):
                     raise PayloadDecodeError(url, f"field 'full_name' must be a string, got {slug!r}")
                 slugs.append(slug)
-            pages += 1
     return slugs
 
 

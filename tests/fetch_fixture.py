@@ -3,12 +3,19 @@
 Serves two repositories plus a topic-search dataset with real pagination
 (Link headers), ETag/304 revalidation, rate-limit headers that count down
 per full response, a 403-at-zero budget mode, and an injectable failure
-switch for interruption tests. All content is index arithmetic, no RNG,
-so expected record counts are plain constants.
+switch for interruption tests. Further switches redirect a repository's
+URLs, gzip bodies, speak HTTP/1.1 keep-alive (and drop each connection
+after one reply), or answer with a garbage status line. Every request's
+target and headers are recorded, so the server also stands in for an
+http proxy that tests can inspect; a `CONNECT` tunnel it records and
+refuses.
+All content is index arithmetic, no RNG, so expected record counts are
+plain constants.
 """
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import json
 import re
@@ -137,9 +144,16 @@ class FixtureState:
         self.remaining = limit
         self.reset_at = int(time.time()) + 3600
         self.fail_after = fail_after
+        self.redirects: dict[str, str] = {}  # slug -> where its URLs moved (a path or an absolute URL)
+        self.gzip = False  # compress bodies for clients that accept gzip
+        self.close_after_reply = False  # close each connection after one reply, without saying so
+        self.bad_status = False  # answer every request with a garbage status line
         self.requests = 0
         self.full_responses = 0
         self.not_modified = 0
+        self.gzipped = 0
+        self.connections = 0
+        self.seen: list[tuple[str, object]] = []  # (request target, headers) per request
         self.lock = threading.Lock()
 
 
@@ -149,10 +163,17 @@ _COMMENTS_RE = re.compile(r"^/repos/([^/]+/[^/]+)/issues/(\d+)/comments$")
 _USER_RE = re.compile(r"^/users/([^/]+)$")
 
 
-def _make_handler(state: FixtureState):
+def _make_handler(state: FixtureState, keep_alive: bool):
     class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+
         def log_message(self, *args):  # keep test output quiet
             pass
+
+        def setup(self):
+            super().setup()
+            with state.lock:
+                state.connections += 1
 
         def _rate_headers(self):
             self.send_header("X-RateLimit-Remaining", str(max(state.remaining, 0)))
@@ -165,24 +186,32 @@ def _make_handler(state: FixtureState):
                 with state.lock:
                     state.not_modified += 1
                 self.send_response(304)
+                self.send_header("Content-Length", "0")
                 self._rate_headers()
                 self.end_headers()
                 return
             with state.lock:
                 if state.fail_after is not None and state.full_responses >= state.fail_after:
                     self.send_response(500)
+                    self.send_header("Content-Length", "0")
                     self.end_headers()
                     return
                 if state.remaining <= 0:
                     self.send_response(403)
+                    self.send_header("Content-Length", "0")
                     self.send_header("X-RateLimit-Remaining", "0")
                     self.send_header("X-RateLimit-Reset", str(state.reset_at))
                     self.end_headers()
                     return
                 state.remaining -= 1
                 state.full_responses += 1
+                gzipped = state.gzip and "gzip" in self.headers.get("Accept-Encoding", "")
+                state.gzipped += gzipped
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
+            if gzipped:
+                body = gzip.compress(body)
+                self.send_header("Content-Encoding", "gzip")
             self.send_header("Content-Length", str(len(body)))
             self.send_header("ETag", etag)
             self._rate_headers()
@@ -217,8 +246,38 @@ def _make_handler(state: FixtureState):
         def do_GET(self):
             with state.lock:
                 state.requests += 1
-            parsed = urlparse(self.path)
+                state.seen.append((self.path, self.headers))
+            if state.bad_status:
+                self.wfile.write(b"NONSENSE\r\n\r\n")
+                self.close_connection = True
+                return
+            self._route()
+            if state.close_after_reply:
+                self.close_connection = True
+
+        def do_CONNECT(self):  # as a proxy, it records the tunnel asked for and refuses it
+            with state.lock:
+                state.requests += 1
+                state.seen.append((self.path, self.headers))
+            self.send_response(502)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            self.close_connection = True
+
+        def _route(self):
+            parsed = urlparse(self.path)  # a request through a proxy names the absolute URL
             path, query = parsed.path, parse_qs(parsed.query)
+            for slug, moved in state.redirects.items():
+                old, new = f"/repos/{slug}", urlparse(moved).path
+                if path == old or path.startswith(old + "/"):
+                    location = moved + path[len(old):] + (f"?{parsed.query}" if parsed.query else "")
+                    self.send_response(301)
+                    self.send_header("Location", location)
+                    self.send_header("Content-Length", "0")
+                    self.end_headers()
+                    return
+                if path == new or path.startswith(new + "/"):
+                    path = old + path[len(new):]
             repos = state.dataset["repos"]
 
             m = _REPO_RE.match(path)
@@ -233,7 +292,7 @@ def _make_handler(state: FixtureState):
                 repo = repos.get(m.group(1))
                 if repo is None:
                     return self._not_found()
-                chunk, next_url = self._paginate(repo[m.group(2)], path, query)
+                chunk, next_url = self._paginate(repo[m.group(2)], parsed.path, query)
                 return self._reply_json(chunk, next_url)
 
             m = _COMMENTS_RE.match(path)
@@ -242,7 +301,7 @@ def _make_handler(state: FixtureState):
                 if repo is None:
                     return self._not_found()
                 items = repo["comments"].get(int(m.group(2)), [])
-                chunk, next_url = self._paginate(items, path, query)
+                chunk, next_url = self._paginate(items, parsed.path, query)
                 return self._reply_json(chunk, next_url)
 
             m = _USER_RE.match(path)
@@ -256,7 +315,7 @@ def _make_handler(state: FixtureState):
                 q = query.get("q", [""])[0]
                 topic = q.split("topic:", 1)[1] if "topic:" in q else ""
                 items = state.dataset["search"].get(topic, [])
-                chunk, next_url = self._paginate(items, path, query)
+                chunk, next_url = self._paginate(items, parsed.path, query)
                 return self._reply_json({"total_count": len(items), "items": chunk}, next_url)
 
             return self._not_found()
@@ -265,11 +324,13 @@ def _make_handler(state: FixtureState):
 
 
 @contextmanager
-def fixture_server(dataset: dict | None = None, *, limit: int = 5000, fail_after: int | None = None):
-    """Yields (state, base_url) around a live threaded fixture server."""
+def fixture_server(dataset: dict | None = None, *, limit: int = 5000, fail_after: int | None = None,
+                   keep_alive: bool = False):
+    """Yields (state, base_url) around a live threaded fixture server; with
+    ``keep_alive`` it speaks HTTP/1.1 and keeps connections open between requests."""
     state = FixtureState(dataset if dataset is not None else build_dataset(),
                          limit=limit, fail_after=fail_after)
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(state))
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(state, keep_alive))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

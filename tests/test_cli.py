@@ -864,9 +864,12 @@ def test_installed_script_round_trip(tmp_path):
 
 
 def test_cli_import_leaves_requests_unloaded():
-    # only GitHubClient needs requests; report, simulate and validate skip its import time
+    # only GitHubClient needs an HTTP stack; report, simulate and validate skip its import time
     src = str(Path(importlib.util.find_spec("ghreview").origin).parents[1])
-    code = "import sys, ghreview.cli as cli; cli.build_parser(); print('requests' in sys.modules)"
+    code = (
+        "import sys, ghreview.cli as cli; cli.build_parser(); "
+        "print(any(m in sys.modules for m in ('requests', 'http.client', 'ssl')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src),

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
+from urllib.parse import quote
 
 import pytest
 
+from ghreview import __version__
 from ghreview.archive import _encode, load_archive, save_archive
+from ghreview.cli import main
 from ghreview.fetcher import (
     BudgetExhaustedError,
     FetchError,
@@ -19,6 +23,7 @@ from ghreview.fetcher import (
     GitHubClient,
     PayloadDecodeError,
     UnknownRepoError,
+    _next_link,
     fetch_corpus,
     fetch_repository,
     search_by_topic,
@@ -386,16 +391,16 @@ def test_interrupted_fetch_keeps_every_page_it_fetched(tmp_path):
     with fixture_server() as (state, base_url):
         plan = _plan(base_url, tmp_path / "cache", targets=(WIDGETS,))
         client = GitHubClient(plan)
-        real_get = client.session.get
+        real_send = client._send
         sent = []
 
-        def interrupted_get(url, **kwargs):
+        def interrupted_send(url, headers):
             if len(sent) == 20:
                 raise KeyboardInterrupt
             sent.append(url)
-            return real_get(url, **kwargs)
+            return real_send(url, headers)
 
-        client.session.get = interrupted_get
+        client._send = interrupted_send
         with pytest.raises(KeyboardInterrupt):
             fetch_corpus(plan, client)
         assert state.full_responses == 20
@@ -420,6 +425,31 @@ def test_search_respects_page_ceiling():
     with fixture_server() as (_, base_url):
         slugs = search_by_topic(SEARCH_TOPIC, _plan(base_url, max_pages=1))
     assert len(slugs) == PAGE
+
+
+@pytest.mark.parametrize(
+    "fetch, cut",
+    [
+        pytest.param(
+            lambda plan: fetch_repository(WIDGETS, plan),
+            [f"/repos/{WIDGETS}/issues?state=all&per_page={PAGE}", f"/repos/{WIDGETS}/commits?per_page={PAGE}"],
+            id="repository",
+        ),
+        pytest.param(
+            lambda plan: search_by_topic(SEARCH_TOPIC, plan),
+            [f"/search/repositories?q=topic:{SEARCH_TOPIC}&per_page={PAGE}"],
+            id="topic-search",
+        ),
+    ],
+)
+def test_page_ceiling_warns_about_each_listing_it_cuts(caplog, fetch, cut):
+    with fixture_server() as (_, base_url):
+        with caplog.at_level(logging.WARNING, logger="ghreview.fetcher"):
+            fetch(_plan(base_url, max_pages=1))
+    assert caplog.messages == [
+        f"stopped {base_url}{path} after max_pages=1; later pages were not fetched"
+        for path in cut
+    ]
 
 
 def test_search_rejects_empty_topic():
@@ -501,3 +531,150 @@ def test_category_is_stamped_from_plan():
     with fixture_server() as (_, base_url):
         repo, _ = fetch_repository(TOOLS, _plan(base_url, category=Category.ROS))
     assert repo.category is Category.ROS
+
+
+# --- transport -------------------------------------------------------------
+
+
+def test_moved_repository_is_fetched_through_its_redirect(tmp_path):
+    with fixture_server() as (state, base_url):
+        direct, _ = fetch_repository(WIDGETS, _plan(base_url))
+        state.redirects[WIDGETS] = "/repositories/1"  # GitHub's answer for a renamed repository
+        plan = _plan(base_url, tmp_path / "cache")
+        moved, _ = fetch_repository(WIDGETS, plan)
+        assert any(path.startswith("/repositories/1/") for path, _ in state.seen)
+        full = state.full_responses
+        fetch_repository(WIDGETS, plan)  # the cache is keyed by the URL asked for
+        assert state.full_responses == full
+    assert moved == direct
+
+
+@pytest.mark.parametrize("other_host", [False, True], ids=["same-host", "other-host"])
+def test_redirect_to_another_host_drops_the_token(other_host):
+    with fixture_server() as (state, base_url):
+        host = base_url.replace("127.0.0.1", "localhost") if other_host else ""
+        state.redirects[WIDGETS] = f"{host}/repositories/1"
+        payload, _, _ = GitHubClient(_plan(base_url, token="s3cret")).get(f"{base_url}/repos/{WIDGETS}")
+    assert payload["full_name"] == WIDGETS
+    (_, asked), (_, redirected) = state.seen
+    assert asked["Authorization"] == "Bearer s3cret"
+    assert redirected["Authorization"] == (None if other_host else "Bearer s3cret")
+
+
+def test_requests_name_the_client_and_gzip_bodies_decode():
+    with fixture_server() as (state, base_url):
+        plain, _ = fetch_repository(TOOLS, _plan(base_url))
+        state.gzip = True
+        compressed, _ = fetch_repository(TOOLS, _plan(base_url))
+        assert state.gzipped == TOOLS_REQUESTS
+    assert compressed == plain
+    assert {(h["User-Agent"], h["Accept"]) for _, h in state.seen} == {
+        (f"ghreview/{__version__}", "application/vnd.github+json")
+    }
+
+
+def test_keep_alive_connections_are_reused():
+    with fixture_server(keep_alive=True) as (state, base_url):
+        plan = _plan(base_url)
+        repo, _ = fetch_repository(WIDGETS, plan)
+        assert state.requests == WIDGETS_REQUESTS
+        assert state.connections <= plan.workers  # the main thread's, then one per user-pool worker
+    assert len(repo.issues) == WIDGETS_ISSUES
+
+
+def test_connection_closed_after_a_kept_alive_reply_is_replaced_without_resending():
+    with fixture_server(keep_alive=True) as (state, base_url):
+        state.close_after_reply = True
+        repo, _ = fetch_repository(WIDGETS, _plan(base_url))
+        assert state.requests == state.connections == WIDGETS_REQUESTS
+    targets = [path for path, _ in state.seen]
+    assert len(set(targets)) == len(targets)  # the server saw each URL once
+    assert len(repo.issues) == WIDGETS_ISSUES
+    assert sum(len(i.comments) for i in repo.issues) == WIDGETS_COMMENTS
+
+
+def test_http_proxy_from_the_environment_unless_no_proxy_names_the_host(monkeypatch, capsys, tmp_path):
+    unreachable = "http://127.0.0.1:9"  # nothing listens there: only the proxy can answer
+    for name in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    with fixture_server() as (state, proxy):
+        monkeypatch.setenv("http_proxy", proxy)
+        args = ["fetch", "--repo", TOOLS, "--base-url", unreachable]
+        assert main(args + ["--out-archive", str(tmp_path / "proxied.ndjson")]) == 0
+        assert {path.startswith(f"{unreachable}/") for path, _ in state.seen} == {True}
+        requests = state.requests
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        assert main(args + ["--out-archive", str(tmp_path / "direct.ndjson")]) == 1
+        assert state.requests == requests
+    assert capsys.readouterr().err.startswith("error: ")
+    assert load_archive(tmp_path / "proxied.ndjson").repos[0].id == TOOLS
+
+
+def test_https_goes_through_the_proxy_in_a_tunnel(monkeypatch, capsys, tmp_path):
+    for name in ("no_proxy", "NO_PROXY", "HTTPS_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    with fixture_server() as (state, proxy):
+        monkeypatch.setenv("https_proxy", proxy)
+        rc = main(["fetch", "--repo", TOOLS, "--base-url", "https://127.0.0.1:9",
+                   "--out-archive", str(tmp_path / "out.ndjson")])
+    assert rc == 1
+    assert [target for target, _ in state.seen] == ["127.0.0.1:9"]  # CONNECT's target
+    assert "502" in capsys.readouterr().err
+
+
+def test_garbage_status_line_is_an_error_naming_the_url(capsys, tmp_path):
+    with fixture_server() as (state, base_url):
+        state.bad_status = True
+        rc = main(["fetch", "--repo", TOOLS, "--base-url", base_url,
+                   "--out-archive", str(tmp_path / "out.ndjson")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: bad HTTP response from {base_url}/repos/{TOOLS}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("base_url", ["127.0.0.1:9", "ftp://127.0.0.1:9"])
+def test_base_url_must_be_http_or_https(capsys, tmp_path, base_url):
+    rc = main(["fetch", "--repo", TOOLS, "--base-url", base_url, "--out-archive", str(tmp_path / "out.ndjson")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot fetch {base_url}/repos/{TOOLS}: not an http or https URL")
+
+
+@pytest.mark.parametrize("slug", ["a b/c", "\u00e4/c"])
+def test_characters_a_url_cannot_hold_are_escaped(slug):
+    with fixture_server() as (state, base_url):
+        with pytest.raises(UnknownRepoError):
+            fetch_repository(slug, _plan(base_url))
+    assert [target for target, _ in state.seen] == [f"/repos/{quote(slug)}"]
+
+
+def test_credentials_in_the_base_url_are_not_part_of_its_host():
+    with fixture_server() as (state, base_url):
+        plan = _plan(base_url.replace("//", "//user:pw@"))
+        repo, _ = fetch_repository(TOOLS, plan)
+        assert state.requests == TOOLS_REQUESTS
+    assert len(repo.issues) == TOOLS_ISSUES
+
+
+def test_redirect_loop_stops_at_the_cap():
+    with fixture_server() as (state, base_url):
+        state.redirects[WIDGETS] = f"/repos/{WIDGETS}"
+        with pytest.raises(FetchError, match="redirects"):
+            GitHubClient(_plan(base_url)).get(f"{base_url}/repos/{WIDGETS}")
+        assert 1 < state.requests < 10
+
+
+@pytest.mark.parametrize(
+    "header, expected",
+    [
+        pytest.param('<https://x/i?page=9>; rel="last", <https://x/i?page=2>; rel="next"',
+                     "https://x/i?page=2", id="last-before-next"),
+        pytest.param('<https://x/s?q=a,b&page=2>; rel="next", <https://x/s?q=a,b&page=5>; rel="last"',
+                     "https://x/s?q=a,b&page=2", id="comma-in-query"),
+        pytest.param('<https://x/i?page=1>; rel="prev", <https://x/i?page=1>; rel="first"',
+                     None, id="no-next"),
+        pytest.param(None, None, id="no-header"),
+    ],
+)
+def test_link_header_next(header, expected):
+    assert _next_link(header) == expected
