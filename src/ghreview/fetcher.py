@@ -546,13 +546,13 @@ def search_by_topic(topic: str, plan: FetchPlan, client: GitHubClient | None = N
     url = f"{base}/search/repositories?{_query({'q': f'topic:{topic}', 'per_page': plan.page_size})}"
     slugs: list[str] = []
     with _persisting(client):
-        for _, payload in client._pages(url):
+        for page_url, payload in client._pages(url):
             if not isinstance(payload, dict) or not isinstance(payload.get("items"), list):
-                raise PayloadDecodeError(url, "expected a search result object")
+                raise PayloadDecodeError(page_url, "expected a search result object")
             for item in payload["items"]:
-                slug = _field(item, url, "full_name")
+                slug = _field(item, page_url, "full_name")
                 if not isinstance(slug, str):
-                    raise PayloadDecodeError(url, f"field 'full_name' must be a string, got {slug!r}")
+                    raise PayloadDecodeError(page_url, f"field 'full_name' must be a string, got {slug!r}")
                 slugs.append(slug)
     return slugs
 

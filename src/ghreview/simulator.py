@@ -25,8 +25,9 @@ from .models import Corpus, Repository
 from .temporal import (
     ALPHA_DEFAULT,
     Distribution,
+    band_bounds,
     classify_gaps,
-    distribution_of,
+    distribution_of_counts,
     gaps_from_times,
     timeline_from_times,
 )
@@ -206,12 +207,14 @@ def _before_side(repo: Repository, config: SimConfig) -> _Before:
 
 def _notify(
     before: _Before, config: SimConfig, sink: list[SimEvent] | None = None
-) -> tuple[list[float], list[float], float, int]:
+) -> tuple[list[float], list[int], float, int, list[float]]:
     """Run the notifier over one repository, appending its events to ``sink`` if given.
 
     Returns every issue time, real and injected, in the order the loop met
     them (time order), the positions of the injected ones in that list, the
-    final median and the number of fires.  ``before`` is read, never changed.
+    final median, the number of fires, and the sorted positive gaps of the
+    issue times, whose median the final one is.  ``before`` is read, never
+    changed.
     """
     real = before.real_times
     n_real = len(real)
@@ -231,31 +234,33 @@ def _notify(
     rng = random.Random(f"{config.seed}:{before.repo_id}")
     draw = rng.random
     insort = bisect.insort
+    real_issue, injected_issue = EventKind.REAL_ISSUE, EventKind.INJECTED_ISSUE
     injected_at: list[int] = []
-    n_events = i
     n_fires = 0
-    base = merged[-1]
+    last = base = merged[-1]
+    next_real = real[i] if i < n_real else math.inf
     while True:
         # arm the notifier from the last issue or fire
         wait = idm
-        if jitter > 0:
+        if jitter:
             wait = max(0.0, wait + rng.uniform(-jitter, jitter))
         fire = base + wait
         if fire < iap_end:  # the notifier is dormant until the assessment period ends
             fire = iap_end
-        if n_events > max_events:
-            raise SimulationOverrunError(f"{before.repo_id}: event count exceeded {max_events}")
         # an issue at or before the scheduled fire suppresses the notification
-        if i < n_real and real[i] <= fire:
-            base = real[i]
+        if next_real <= fire:
+            base = next_real
             i += 1
-            kind = EventKind.REAL_ISSUE
+            next_real = real[i] if i < n_real else math.inf
+            kind = real_issue
         else:
+            # every run ends here, so the cap sees the final count of events
+            if len(merged) + 2 * n_fires > max_events:
+                raise SimulationOverrunError(f"{before.repo_id}: event count exceeded {max_events}")
             if fire > horizon_end:
                 break
             accepted = draw() < ap
             n_fires += 1
-            n_events += 2
             base = fire
             if sink is not None:
                 outcome = EventKind.NOTIFICATION_ACCEPTED if accepted else EventKind.NOTIFICATION_IGNORED
@@ -264,11 +269,11 @@ def _notify(
             if not accepted:
                 continue
             injected_at.append(len(merged))
-            kind = EventKind.INJECTED_ISSUE
+            kind = injected_issue
         # record the issue at ``base``: fold its gap into the running median
-        d = base - merged[-1]
+        d = base - last
+        last = base
         merged.append(base)
-        n_events += 1
         if d > 0:
             insort(gaps, d)
             n = len(gaps)
@@ -277,7 +282,15 @@ def _notify(
         if sink is not None:
             sink.append(SimEvent(base, kind, idm))
 
-    return merged, injected_at, idm, n_fires
+    return merged, injected_at, idm, n_fires, gaps
+
+
+def _split(ordered: list[float], n: int, median: float, alpha: float) -> Distribution:
+    """``classify_gaps``'s split of ``n`` gaps against ``median``, given them sorted
+    in ``ordered``, which may leave out zero gaps: those are Dense."""
+    zeros = bisect.bisect_right(ordered, 0.0)
+    i, j = band_bounds(ordered, median - alpha, median + alpha, zeros)
+    return distribution_of_counts(n, n - len(ordered) + i, len(ordered) - j)
 
 
 def simulate(repo: Repository, config: SimConfig, *, _before: _Before | None = None) -> SimResult:
@@ -293,12 +306,15 @@ def simulate(repo: Repository, config: SimConfig, *, _before: _Before | None = N
         return SimResult(
             repo_id=repo.id, config=config, excluded=True, exclusion_reason=before.exclusion
         )
-    merged, injected_at, final_idm, n_fires = _notify(before, config)
-    merged_labels, after = classify_gaps(gaps_from_times(merged), alpha=config.alpha)
+    merged, injected_at, final_idm, n_fires, gaps = _notify(before, config)
+    # merged is in time order and final_idm is the median of its positive gaps,
+    # so the split is classify_gaps's over merged's gaps
+    after = _split(gaps, len(merged) - 1, final_idm, config.alpha)
 
     injected_only = None
-    if injected_at:  # label k - 1 is the gap that ends at merged[k]
-        injected_only = distribution_of([merged_labels[k - 1] for k in injected_at])
+    if injected_at:  # the gap ending at merged[k] is the injection's
+        injected = sorted([merged[k] - merged[k - 1] for k in injected_at])
+        injected_only = _split(injected, len(injected), final_idm, config.alpha)
 
     return SimResult(
         repo_id=repo.id,

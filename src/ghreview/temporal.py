@@ -97,13 +97,28 @@ def classify_duration(duration: float, median: float, alpha: float) -> Label:
 
 
 def distribution_of(labels: Sequence[Label]) -> Distribution:
-    n = len(labels)
+    return distribution_of_counts(
+        len(labels), labels.count(Label.DENSE), labels.count(Label.DISPERSED)
+    )
+
+
+def distribution_of_counts(n: int, dense: int, dispersed: int) -> Distribution:
+    """The split of ``n`` gaps, ``dense`` of them Dense and ``dispersed`` Dispersed."""
     if n == 0:
         return Distribution(0.0, 0.0, 0.0, 0)
-    dense = labels.count(Label.DENSE)
-    dispersed = labels.count(Label.DISPERSED)
     regular = n - dense - dispersed
     return Distribution(100.0 * dense / n, 100.0 * regular / n, 100.0 * dispersed / n, n)
+
+
+def band_bounds(ordered: Sequence[float], lo: float, hi: float, start: int = 0) -> tuple[int, int]:
+    """Split sorted ``ordered[start:]`` by the band [lo, hi], in two bisections.
+
+    Returns (i, j): ``ordered[start:i]`` lies below lo, ``ordered[i:j]`` inside
+    the band and ``ordered[j:]`` above it.  A band with lo > hi, or a NaN
+    bound, holds nothing (i == j), as the comparisons ``lo <= d <= hi`` find.
+    """
+    i = bisect.bisect_left(ordered, lo, start)
+    return i, (bisect.bisect_right(ordered, hi, i) if lo <= hi else i)
 
 
 def classify_gaps(
@@ -167,26 +182,24 @@ def timeline_from_times(
     t0 = ordered[0] if ordered else 0.0
     gaps = gaps_from_times(ordered)  # gap i - 1 ends at ordered[i]
     positive: list[float] = []  # every positive gap ended so far, sorted
-    insort = bisect.insort
     points: list[TimelinePoint] = []
     i, k = 1, 0
     while i < n:
         k = _window_holding(ordered[i], t0, window, k)
         # the openings before the window's close end its gaps
         j = bisect.bisect_left(ordered, t0 + (k + 1) * window, i)
-        in_window = gaps[i - 1 : j - 1]
+        in_window = sorted(gaps[i - 1 : j - 1])
         i = j
-        for d in in_window:
-            if d > 0:
-                insort(positive, d)
-        regular = 0  # zero-duration bursts only, all Dense
+        z = bisect.bisect_right(in_window, 0.0)  # zero-duration bursts, all Dense
+        positive += in_window[z:]
+        positive.sort()  # one merge of two sorted runs
+        regular = 0
         m = len(positive)
         if m:
             mid = m >> 1
             median = positive[mid] if m & 1 else 0.5 * (positive[mid - 1] + positive[mid])
-            lo, hi = median - alpha, median + alpha
-            # classify_duration's Regular band, tested inline
-            regular = sum(1 for d in in_window if d and lo <= d <= hi)
+            first, end = band_bounds(in_window, median - alpha, median + alpha, z)
+            regular = end - first
         points.append(
             TimelinePoint(
                 window_start=t0 + k * window,

@@ -481,6 +481,15 @@ def test_malformed_search_result_is_reported(monkeypatch, payload):
     assert err.value.url == f"http://127.0.0.1:9/search/repositories?q=topic:{SEARCH_TOPIC}&per_page={PAGE}"
 
 
+def test_malformed_search_item_is_blamed_on_its_own_page():
+    dataset = build_dataset()
+    dataset["search"][SEARCH_TOPIC][120]["full_name"] = 5  # on page 2
+    with fixture_server(dataset) as (_, base_url):
+        with pytest.raises(PayloadDecodeError, match="'full_name' must be a string") as err:
+            search_by_topic(SEARCH_TOPIC, _plan(base_url))
+    assert err.value.url == f"{base_url}/search/repositories?q=topic:{SEARCH_TOPIC}&per_page={PAGE}&page=2"
+
+
 # --- corpus assembly -------------------------------------------------------
 
 

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import replace
 
 import pytest
 
 from ghreview import simulator
-from ghreview.models import Category, Repository
+from ghreview.models import Category, Issue, Repository, User
 from ghreview.simulator import (
     EventKind,
     SimConfig,
@@ -22,7 +23,12 @@ from ghreview.simulator import (
 from ghreview.synthetic import lognormal_repo, periodic_repo, random_corpus
 from ghreview.temporal import classify_gaps, distribution_of, gaps_from_times, timeline_from_times
 from ghreview.units import DAY, HOUR, MONTH, YEAR
-from reference_sim import reference_simulate
+from reference_sim import (
+    reference_distribution,
+    reference_simulate,
+    reference_timeline,
+    sort_median_positive,
+)
 
 IAP_DAYS = 6 * MONTH / DAY  # 182.64
 
@@ -259,11 +265,15 @@ def test_overrun_guard():
 
 def test_overrun_guard_counts_every_event():
     repo = periodic_repo("x/cap", n_issues=182)
-    config = SimConfig(acceptance_probability=0.5, seed=5)
-    n = len(simulate(repo, config).events)
-    assert not simulate(repo, replace(config, max_events=n)).excluded
-    with pytest.raises(SimulationOverrunError):
-        simulate(repo, replace(config, max_events=n - 1))
+    for config in (
+        SimConfig(acceptance_probability=0.5, seed=5),
+        SimConfig(acceptance_probability=0.0, seed=5),
+        SimConfig(acceptance_probability=0.5, seed=5, jitter=6 * HOUR),
+    ):
+        n = len(simulate(repo, config).events)
+        assert not simulate(repo, replace(config, max_events=n)).excluded
+        with pytest.raises(SimulationOverrunError):
+            simulate(repo, replace(config, max_events=n - 1))
 
 
 # --- extensions (outside the replicated design) ----------------------------
@@ -527,9 +537,10 @@ def test_sweep_computes_each_before_side_once(monkeypatch):
         Repository, "issues_by_time", counted("issues_by_time", Repository.issues_by_time)
     )
     table = simulate_corpus(corpus, configs)
-    # one before side per kept repo, one after side per kept repo and AP
+    # one before side per kept repo, one after side per kept repo and AP; the
+    # after split is read from the notifier's own sorted gaps, not classified
     assert calls == {
-        "classify_gaps": len(kept) * (1 + len(APS)),
+        "classify_gaps": len(kept),
         "timeline_from_times": len(kept) * (1 + len(APS)),
         "issues_by_time": len(corpus.repos),
     }
@@ -537,5 +548,113 @@ def test_sweep_computes_each_before_side_once(monkeypatch):
     for sims in table.results.values():
         for sim in sims:
             sim.events
-    assert calls["classify_gaps"] == len(kept) * (1 + len(APS))
+    assert calls["classify_gaps"] == len(kept)
     assert calls["issues_by_time"] == len(corpus.repos)
+
+
+# --- the after split read from the notifier's sorted gaps ------------------
+
+
+def _repo_at(repo_id, created_at, times):
+    owner = User("dev0", 0)
+    issues = [Issue(f"{repo_id}#{k}", repo_id, owner, t) for k, t in enumerate(times)]
+    return Repository(repo_id, Category.RANDOM, created_at, owner, (owner,), issues=issues)
+
+
+def _band_edge_repo(rng, repo_id, period, alpha):
+    """Whole-second openings, mostly ``period`` apart so the median stays
+    ``period``, mixed with zero-gap ties and gaps of ``period -/+ alpha``."""
+    times = [period * k for k in range(1, 5)]
+    for _ in range(rng.randint(5, 40)):
+        odd = rng.choice([period - alpha, period + alpha, 0, 0, rng.randint(1, 4 * period)])
+        for gap in rng.sample([period, period, period, odd], 4):
+            times.append(times[-1] + gap)
+    config = SimConfig(
+        acceptance_probability=0.0, iap=12 * period, horizon=2 * times[-1], alpha=alpha
+    )
+    return _repo_at(repo_id, 0, times), config
+
+
+def _check_after_split(repo, config):
+    """The after split and the injected split against classify_gaps and the
+    sort-based banding of the merged series; returns the band-edge gaps seen."""
+    result = simulate(repo, config)
+    if result.excluded:
+        return 0
+    alpha = config.alpha
+    merged = result.real_times + result.injected_times
+    durations = gaps_from_times(merged)
+    after = result.after
+    assert after == classify_gaps(durations, alpha=alpha)[1]
+    assert (after.dense_pct, after.regular_pct, after.dispersed_pct) == reference_distribution(
+        durations, alpha
+    )
+    assert after.n_gaps == len(merged) - 1
+    # at equal times a real opening precedes the injection
+    tagged = sorted([(t, False) for t in result.real_times] + [(t, True) for t in result.injected_times])
+    labels, _ = classify_gaps(gaps_from_times([t for t, _ in tagged]), alpha=alpha)
+    injected = [label for label, (_, is_injected) in zip(labels, tagged[1:]) if is_injected]
+    assert result.injected_only == (distribution_of(injected) if injected else None)
+
+    times, _, final_idm, _, gaps = simulator._notify(simulator._before_side(repo, config), config)
+    assert times == sorted(merged)
+    assert gaps == sorted(d for d in gaps_from_times(times) if d > 0)
+    assert final_idm == result.final_idm == sort_median_positive(durations)
+    return sum(d in (final_idm - alpha, final_idm + alpha) for d in durations)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_after_split_matches_classify_gaps_on_random_repos(mode):
+    for seed in range(3):
+        for repo in _sweep_corpus(seed).repos:
+            for ap in APS:
+                _check_after_split(repo, SimConfig(acceptance_probability=ap, seed=seed, **MODES[mode]))
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_after_split_matches_classify_gaps_on_band_edges(mode):
+    rng = random.Random(31)
+    edges = 0
+    for n in range(40):
+        period, alpha = rng.choice([(86_400, 21_600), (604_800, 86_400), (3600, 1)])
+        repo, config = _band_edge_repo(rng, f"x/edge{n}", period, alpha)
+        for ap in (0.0, 0.5, 1.0):
+            edges += _check_after_split(
+                repo, replace(config, acceptance_probability=ap, seed=n, **MODES[mode])
+            )
+    assert edges > 50
+
+
+def test_after_split_keeps_zero_injected_gaps_dense_under_a_wide_band():
+    # the band reaches below zero, and jittered fires clamp onto the last
+    # opening, so zero-length injected gaps would fall inside it
+    repo = periodic_repo("x/wide", n_issues=400)
+    config = SimConfig(acceptance_probability=1.0, seed=0, jitter=3 * DAY, alpha=2 * DAY)
+    _check_after_split(repo, config)
+    result = simulate(repo, config)
+    assert result.final_idm < config.alpha
+    assert 0 < result.injected_only.dense_pct < 100.0
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_sweep_timelines_match_the_window_walk_oracle(mode, monkeypatch):
+    series = []
+
+    def recording(times, window, alpha):
+        points = timeline_from_times(times, window, alpha)
+        series.append((list(times), window, alpha, points))
+        return points
+
+    monkeypatch.setattr(simulator, "timeline_from_times", recording)
+    configs = [SimConfig(acceptance_probability=ap, seed=2, **MODES[mode]) for ap in APS]
+    table = simulate_corpus(_sweep_corpus(5), configs, timeline_window=21 * DAY)
+    after_sides = {
+        tuple(sim.real_times + sim.injected_times)
+        for sims in table.results.values()
+        for sim in sims
+        if not sim.excluded
+    }
+    assert after_sides <= {tuple(times) for times, *_ in series}
+    for times, window, alpha, points in series:
+        got = [(p.window_start, p.regular_pct, p.n_gaps) for p in points]
+        assert got == reference_timeline(times, window, alpha)

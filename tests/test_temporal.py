@@ -238,6 +238,21 @@ def test_timeline_oracle_on_window_boundaries():
         assert _points(times, window, alpha) == reference_timeline(times, window, alpha)
 
 
+@pytest.mark.parametrize(
+    "alpha",
+    [0.0, -HOUR, -30 * DAY, 1000 * DAY, float("nan")],
+    ids=["zero", "negative", "very-negative", "beyond-median", "nan"],
+)
+def test_timeline_oracle_on_degenerate_alpha(alpha):
+    # a negative or NaN alpha leaves the band empty; one beyond the median
+    # takes in every positive gap below it, but never a zero gap
+    rng = random.Random(15)
+    for _ in range(100):
+        times = [BASE + rng.choice([0, rng.randint(0, 60)]) * DAY for _ in range(rng.randint(2, 40))]
+        window = rng.choice([DAY, 7 * DAY, 30 * DAY])
+        assert _points(times, window, alpha) == reference_timeline(times, window, alpha)
+
+
 def test_timeline_cost_follows_gaps_not_windows():
     # the last gap ends about 10**12 one-second windows after the first opening
     assert _points([0.0, 1.0, 2.0, 1e12], 1.0) == [(1.0, 100.0, 1), (2.0, 100.0, 1), (1e12, 0.0, 1)]
