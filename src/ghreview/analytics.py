@@ -169,7 +169,7 @@ class RepoIndex:
 
     @cached_property
     def received_comments(self) -> dict[str, int]:
-        """``received_comment_count`` of each issue, by issue id."""
+        """Comments each issue's opener received on it (their own excluded), by issue id."""
         received = dict.fromkeys((issue.id for issue in self.issues), 0)
         for reviewed in self.postings.values():
             for issue_id, n in reviewed.items():

@@ -21,34 +21,17 @@ import sys
 import tempfile
 from dataclasses import fields
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .analytics import (
-    ICS_TARGET_FEATURES,
-    ISSUE_TARGET_FEATURES,
-    SUMMARY_FIELDS,
-    EmptySelectionError,
-    RepoSummary,
-    correlate_features,
-    corpus_index,
-    expertise_coverage,
-    popularity_vs_comments,
-    repo_summary,
-)
-from .archive import ArchiveError, _atomic_write, load_archive, save_archive
-from .community import build_graph, ics, normalized_ics, export_graph
-from .fetcher import FetchError, FetchPlan, GitHubClient, fetch_corpus
 from .models import CATEGORY_ORDER, Category, Corpus, validate
-from .sentiment import repo_sentiment
-from .simulator import SimConfig, SimRow, SimTable, TimelineRow, simulate_corpus
-from .temporal import (
-    ALPHA_DEFAULT,
-    InsufficientDataError,
-    classify_gaps,
-    idm,
-    issue_gaps,
-)
-from .units import HOUR, MONTH, YEAR, parse_duration
+from .units import ALPHA_DEFAULT, HOUR, MONTH, YEAR, parse_duration
+
+# Each command imports the stage modules it runs inside its builder, so a
+# command pays the import time of its own stages only.
+if TYPE_CHECKING:
+    from .analytics import RepoSummary
+    from .simulator import SimTable
 
 REPORT_FILES = (
     "table1.csv",
@@ -95,6 +78,8 @@ def _sha256(path: str) -> str:
 def _write_manifest(
     out_dir: str, args: argparse.Namespace, inputs: list[str], counters: dict | None = None
 ) -> None:
+    from .archive import _atomic_write
+
     config = {
         key: value
         for key, value in sorted(vars(args).items())
@@ -121,6 +106,8 @@ def _write_manifest(
 
 
 def _load(args: argparse.Namespace) -> Corpus:
+    from .archive import load_archive
+
     corpus = load_archive(args.input, lenient=args.lenient)
     # The corpus lives until the command ends and holds no reference cycles:
     # frozen, it is left out of every later collector pass.
@@ -133,10 +120,14 @@ def _load(args: argparse.Namespace) -> Corpus:
 
 
 def _summaries(corpus: Corpus) -> dict[Category, RepoSummary]:
+    from .analytics import repo_summary
+
     return {cat: repo_summary(corpus, cat) for cat in corpus.categories()}
 
 
 def _table1(summaries: dict[Category, RepoSummary]) -> tuple[list[str], list[list]]:
+    from .analytics import SUMMARY_FIELDS
+
     header = ["statistic"] + [c.value for c in CATEGORY_ORDER]
     columns = [summaries.get(cat) for cat in CATEGORY_ORDER]
     rows: list[list] = [["n_repos"] + [s.n_repos if s else 0 for s in columns]]
@@ -146,6 +137,8 @@ def _table1(summaries: dict[Category, RepoSummary]) -> tuple[list[str], list[lis
 
 
 def _correlation_table(corpus: Corpus, target: str) -> tuple[list[str], list[list]]:
+    from .analytics import ICS_TARGET_FEATURES, ISSUE_TARGET_FEATURES, EmptySelectionError, correlate_features
+
     header = ["category", "feature", "r", "p", "n", "note"]
     rows: list[list] = []
     features = ISSUE_TARGET_FEATURES if target == "issues" else ICS_TARGET_FEATURES
@@ -168,6 +161,8 @@ def _fields_table(row_type: type, records: tuple) -> tuple[list[str], list[list]
 
 
 def _expertise_tables(corpus: Corpus, _args: argparse.Namespace) -> dict:
+    from .analytics import expertise_coverage
+
     table4_rows: list[list] = []
     fig7_rows: list[list] = []
     for cat in corpus.categories():
@@ -194,6 +189,8 @@ def _expertise_tables(corpus: Corpus, _args: argparse.Namespace) -> dict:
 
 def _report_counters(corpus: Corpus, table: SimTable) -> dict:
     """Repos and undefined ICS scores per category, simulation exclusions per AP."""
+    from .analytics import corpus_index
+
     index = corpus_index(corpus)
     excluded: dict[str, int] = {}
     for (_, ap), sims in table.results.items():
@@ -214,6 +211,9 @@ def _report_counters(corpus: Corpus, table: SimTable) -> dict:
 
 
 def _cmd_fetch(args: argparse.Namespace) -> int:
+    from .archive import save_archive
+    from .fetcher import FetchError, FetchPlan, GitHubClient, fetch_corpus
+
     out_dir = os.path.dirname(os.path.abspath(args.out_archive))
     if not os.path.isdir(out_dir):  # before the first request, not after the last
         print(f"error: cannot write {args.out_archive}: no directory {out_dir}", file=sys.stderr)
@@ -229,8 +229,12 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         workers=args.workers,
     )
-    client = GitHubClient(plan)
-    corpus = fetch_corpus(plan, client=client)
+    try:
+        client = GitHubClient(plan)
+        corpus = fetch_corpus(plan, client=client)
+    except FetchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.sample is not None:
         # uniform subsample of fetched repos; a stand-in for corpus
         # collection procedures that were never published
@@ -286,6 +290,8 @@ def _correlate_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
 
 
 def _classify_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
+    from .temporal import InsufficientDataError, classify_gaps, idm, issue_gaps
+
     header = ["repo_id", "category", "n_gaps", "idm_hours", "dense_pct", "regular_pct", "dispersed_pct", "note"]
     rows: list[list] = []
     for repo in corpus.repos:
@@ -312,6 +318,8 @@ def _classify_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
 
 
 def _simulate(corpus: Corpus, args: argparse.Namespace) -> SimTable:
+    from .simulator import SimConfig, simulate_corpus
+
     configs = [
         SimConfig(
             acceptance_probability=ap,
@@ -332,6 +340,8 @@ def _simulate(corpus: Corpus, args: argparse.Namespace) -> SimTable:
 
 
 def _simulate_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
+    from .simulator import SimRow, TimelineRow
+
     table = _simulate(corpus, args)
     return {
         "table3": _fields_table(SimRow, table.rows),
@@ -340,6 +350,9 @@ def _simulate_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
 
 
 def _community_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
+    from .analytics import corpus_index
+    from .community import build_graph, export_graph, ics, normalized_ics
+
     header = ["repo_id", "category", "issue_count", "e2_count", "ics", "normalized_ics",
               "isolated_issues", "undefined", "exceeds_one"]
     rows: list[list] = []
@@ -366,6 +379,8 @@ def _community_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
 
 
 def _sentiment_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
+    from .sentiment import repo_sentiment
+
     rows: list[list] = []
     for repo in corpus.repos:
         score, n_comments = repo_sentiment(repo)
@@ -374,6 +389,9 @@ def _sentiment_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .analytics import popularity_vs_comments
+    from .simulator import SimRow, TimelineRow
+
     corpus = _load(args)
     if os.path.exists(args.out):
         if not args.force:
@@ -514,13 +532,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="per-repo gap classification shares")
     _add_common(p)
-    p.add_argument("--alpha", type=_duration, default=ALPHA_DEFAULT,
+    p.add_argument("--alpha", type=_positive_duration, default=ALPHA_DEFAULT,
                    help="half-width of the regular band (e.g. 6h)")
     p.set_defaults(func=_tables_command(_classify_tables), subcommand="classify")
 
     p = sub.add_parser("simulate", help="notification simulation over the corpus")
     _add_common(p)
-    p.add_argument("--alpha", type=_duration, default=ALPHA_DEFAULT)
+    p.add_argument("--alpha", type=_positive_duration, default=ALPHA_DEFAULT)
     _add_sim_flags(p)
     p.set_defaults(func=_tables_command(_simulate_tables), subcommand="simulate")
 
@@ -545,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full pipeline: all table and figure files")
     _add_common(p)
-    p.add_argument("--alpha", type=_duration, default=ALPHA_DEFAULT)
+    p.add_argument("--alpha", type=_positive_duration, default=ALPHA_DEFAULT)
     _add_sim_flags(p)
     p.add_argument("--force", action="store_true", help="replace an existing output directory")
     p.set_defaults(func=_cmd_report, subcommand="report")
@@ -556,13 +574,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .archive import ArchiveError
+
     frozen = gc.get_freeze_count()
     try:
         return args.func(args)
-    except (ArchiveError, FetchError, EmptySelectionError, InsufficientDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ArchiveError, ValueError, OSError) as exc:  # the analysis errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -131,20 +131,6 @@ class Corpus:
 # review.
 
 
-def reviewer_comment_counts(issue: Issue) -> dict[User, int]:
-    """Comment counts per reviewer on one issue (opener self-comments excluded)."""
-    counts: dict[User, int] = {}
-    opener = issue.opener.login
-    for c in issue.comments:
-        if c.author.login != opener:
-            counts[c.author] = counts.get(c.author, 0) + 1
-    return counts
-
-
-def issue_reviewers(issue: Issue) -> set[User]:
-    return set(reviewer_comment_counts(issue))
-
-
 def reviewer_postings(issues: Iterable[Issue]) -> dict[User, dict[str, int]]:
     """Each reviewer's comment count on every issue they reviewed.
 
@@ -163,11 +149,6 @@ def reviewer_postings(issues: Iterable[Issue]) -> dict[User, dict[str, int]]:
                     reviewed = postings[author] = {}
                 reviewed[issue_id] = reviewed.get(issue_id, 0) + 1
     return postings
-
-
-def received_comment_count(issue: Issue) -> int:
-    """Comments an opener received on their issue (their own excluded)."""
-    return sum(1 for c in issue.comments if c.author.login != issue.opener.login)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .models import Repository
-from .units import HOUR
-
-ALPHA_DEFAULT = 6 * HOUR
+from .units import ALPHA_DEFAULT
 
 
 class InsufficientDataError(ValueError):
@@ -180,7 +178,7 @@ def timeline_from_times(
     ordered = sorted(times)
     n = len(ordered)
     t0 = ordered[0] if ordered else 0.0
-    gaps = gaps_from_times(ordered)  # gap i - 1 ends at ordered[i]
+    gaps = [b - a for a, b in zip(ordered, ordered[1:])]  # gap i - 1 ends at ordered[i]
     positive: list[float] = []  # every positive gap ended so far, sorted
     points: list[TimelinePoint] = []
     i, k = 1, 0
@@ -209,9 +207,3 @@ def timeline_from_times(
         )
     return points
 
-
-def regular_fraction_timeline(
-    repo: Repository, window: float, alpha: float = ALPHA_DEFAULT
-) -> list[TimelinePoint]:
-    """Fig-style regularity series for one repository's real issue history."""
-    return timeline_from_times([i.created_at for i in repo.issues], window, alpha)

@@ -15,6 +15,10 @@ DAY = 86400.0
 MONTH = 30.44 * DAY
 YEAR = 365.25 * DAY
 
+# Half-width of the Regular band (``temporal`` re-exports it); defined here
+# so the CLI parser can default to it without importing ``temporal``.
+ALPHA_DEFAULT = 6 * HOUR
+
 _SUFFIXES = {
     "s": SECOND,
     "m": MINUTE,

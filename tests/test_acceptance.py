@@ -27,7 +27,6 @@ from ghreview.models import (
     Issue,
     Repository,
     User,
-    issue_reviewers,
 )
 from ghreview.sentiment import SentimentLexicon, default_lexicon, score_comment
 from ghreview.simulator import SimConfig, event_log_lines, simulate
@@ -50,6 +49,7 @@ from fetch_fixture import (
     WIDGETS_ISSUES,
     fixture_server,
 )
+from reference_reviewers import issue_reviewers
 from reference_sim import sort_median_positive
 from test_community import _brute_force_pairs, _repo_from_sets
 from test_fetcher import TOOLS_REQUESTS, WIDGETS_REQUESTS

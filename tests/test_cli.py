@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from ghreview import __version__, analytics, cli, community
+from ghreview import __version__, analytics, community
 from ghreview.archive import ArchiveError, load_archive, save_archive
 from ghreview.cli import REPORT_FILES, main
 from ghreview.community import build_graph, ics
@@ -63,6 +63,15 @@ def test_malformed_duration_is_a_usage_error(tiny_path, out_dir):
 def test_non_positive_window_is_a_usage_error(tiny_path, out_dir, command, window):
     with pytest.raises(SystemExit) as err:
         main([command, "--in", tiny_path, "--out", out_dir, "--window", window])
+    assert err.value.code == 2
+    assert not os.path.exists(out_dir)
+
+
+@pytest.mark.parametrize("command", ["classify", "simulate", "report"])
+@pytest.mark.parametrize("alpha", ["0h", "0"])
+def test_non_positive_alpha_is_a_usage_error(tiny_path, out_dir, command, alpha):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--in", tiny_path, "--out", out_dir, "--alpha", alpha])
     assert err.value.code == 2
     assert not os.path.exists(out_dir)
 
@@ -731,13 +740,13 @@ def _collector_state() -> tuple[int, bool]:
 
 def test_report_runs_with_the_corpus_frozen(tiny_path, tmp_path, monkeypatch):
     seen = []
-    real = cli.popularity_vs_comments
+    real = analytics.popularity_vs_comments
 
     def watched(corpus):
         seen.append(_collector_state())
         return real(corpus)
 
-    monkeypatch.setattr(cli, "popularity_vs_comments", watched)
+    monkeypatch.setattr(analytics, "popularity_vs_comments", watched)
     before = _collector_state()
     assert before[0] == 0
     assert _run_report(tiny_path, tmp_path / "report") == 0
@@ -764,7 +773,7 @@ def test_failed_command_restores_the_collector(tiny_path, tmp_path, monkeypatch,
             assert gc.get_freeze_count() > 0
             raise failure
 
-        monkeypatch.setattr(cli, "popularity_vs_comments", failing)
+        monkeypatch.setattr(analytics, "popularity_vs_comments", failing)
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -863,22 +872,77 @@ def test_installed_script_round_trip(tmp_path):
         assert (out / name).exists(), f"report did not write {name}"
 
 
+SRC = str(Path(importlib.util.find_spec("ghreview").origin).parents[1])
+
+
 def test_cli_import_leaves_requests_unloaded():
     # only GitHubClient needs an HTTP stack; report, simulate and validate skip its import time
-    src = str(Path(importlib.util.find_spec("ghreview").origin).parents[1])
     code = (
         "import sys, ghreview.cli as cli; cli.build_parser(); "
-        "print(any(m in sys.modules for m in ('requests', 'http.client', 'ssl')))"
+        "print(any(m in sys.modules for m in ('requests', 'http.client', 'ssl'))); "
+        "print(*sorted(m for m in sys.modules if m.startswith('ghreview')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    requests_loaded, ghreview_modules = proc.stdout.splitlines()
+    assert requests_loaded == "False"
+    # the parser needs the categories and the duration units, no stage
+    assert ghreview_modules.split() == ["ghreview", "ghreview.cli", "ghreview.models", "ghreview.units"]
+
+
+# Runs one command in a fresh interpreter; the last stdout line lists the
+# ghreview submodules loaded by the time it returned.
+_RUN_AND_LIST = """
+import sys
+from ghreview.cli import main
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as exc:
+    rc = exc.code
+print(*sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("ghreview.")))
+sys.exit(rc)
+"""
+
+
+def _modules_loaded_by(argv: list[str]) -> tuple[int, set[str]]:
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST, *argv],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return proc.returncode, set(proc.stdout.splitlines()[-1].split())
+
+
+def test_validate_loads_no_fetch_or_analysis_module():
+    rc, loaded = _modules_loaded_by(["validate", "--in", str(TINY)])
+    assert rc == 0
+    assert "archive" in loaded
+    assert not loaded & {"fetcher", "simulator", "analytics", "community", "sentiment", "temporal"}
+
+
+def test_fetch_loads_no_analysis_module(tmp_path):
+    with fixture_server() as (_, base_url):
+        rc, loaded = _modules_loaded_by(["fetch", "--repo", TOOLS, "--base-url", base_url,
+                                         "--out-archive", str(tmp_path / "fetched.ndjson")])
+    assert rc == 0
+    assert {"archive", "fetcher"} <= loaded
+    assert not loaded & {"simulator", "analytics", "community", "sentiment", "temporal"}
+
+
+@pytest.mark.parametrize("command", ["classify", "simulate", "report"])
+def test_alpha_usage_error_loads_no_stage(tmp_path, command):
+    rc, loaded = _modules_loaded_by([command, "--in", str(TINY), "--out", str(tmp_path / "out"),
+                                     "--alpha", "0h"])
+    assert rc == 2
+    assert loaded == {"cli", "models", "units"}
 
 
 def test_module_invocation_matches_script(tmp_path):

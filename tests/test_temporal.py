@@ -17,7 +17,6 @@ from ghreview.temporal import (
     idm,
     issue_gaps,
     median_positive,
-    regular_fraction_timeline,
     timeline_from_times,
 )
 from ghreview.units import DAY, HOUR
@@ -160,7 +159,7 @@ def test_every_label_respects_the_band(gaps, alpha_hours):
 
 def test_fixture_timeline(tiny_corpus):
     a = tiny_corpus.repos[0]
-    points = regular_fraction_timeline(a, window=30 * DAY)
+    points = timeline_from_times([i.created_at for i in a.issues], window=30 * DAY)
     got = [((p.window_start - BASE) / DAY, p.regular_pct, p.n_gaps) for p in points]
     assert got == [(10.0, 100.0, 1), (40.0, 0.0, 1), (70.0, 0.0, 1), (100.0, 0.0, 1)]
 
