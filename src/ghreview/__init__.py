@@ -3,7 +3,8 @@ simulation, issue community graphs, reviewer expertise, and sentiment.
 
 Public names resolve on first access: ``import ghreview`` loads no
 submodule, and ``ghreview.simulate`` imports ``ghreview.simulator`` only
-when it is first read.
+when it is first read.  A submodule in the table below resolves the same
+way: ``ghreview.temporal`` imports ``ghreview.temporal``.
 """
 
 from importlib import import_module
@@ -16,8 +17,9 @@ _EXPORTS = {
                "Repository", "User", "validate"),
     "archive": ("ArchiveError", "ArchiveIntegrityError", "ArchiveInvariantError",
                 "ArchiveParseError", "load_archive", "save_archive"),
-    "temporal": ("ALPHA_DEFAULT", "Distribution", "GapSeries", "InsufficientDataError",
-                 "Label", "classify_gaps", "idm", "issue_gaps"),
+    "units": ("ALPHA_DEFAULT",),
+    "temporal": ("Distribution", "GapSeries", "InsufficientDataError", "Label",
+                 "classify_gaps", "idm", "issue_gaps"),
     "simulator": ("SimConfig", "SimResult", "simulate", "simulate_corpus"),
     "community": ("IssueCommunityGraph", "ICSReport", "build_graph", "ics"),
     "analytics": ("CorrelationReport", "CoverageReport", "EmptySelectionError",
@@ -33,6 +35,8 @@ __all__ = ["__version__", *_HOME]
 
 
 def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
     module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

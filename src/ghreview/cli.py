@@ -13,6 +13,7 @@ import argparse
 import csv
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -21,17 +22,40 @@ import sys
 import tempfile
 from dataclasses import fields
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING
+from types import ModuleType
 
 from . import __version__
 from .models import CATEGORY_ORDER, Category, Corpus, validate
 from .units import ALPHA_DEFAULT, HOUR, MONTH, YEAR, parse_duration
 
-# Each command imports the stage modules it runs inside its builder, so a
-# command pays the import time of its own stages only.
-if TYPE_CHECKING:
-    from .analytics import RepoSummary
-    from .simulator import SimTable
+
+def _deferred(name: str) -> ModuleType:
+    """``ghreview.<name>``, entered in ``sys.modules`` now, run on its first attribute read.
+
+    A command pays the import time of the stages it runs only, and every
+    stage module is in ``sys.modules`` from the start, where tools that patch
+    module attributes (``perfbench/tracer.py``) find it.  Each command first
+    reads a stage on the main thread: on older Pythons a first read racing
+    another thread's can see the module before its body has run.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+analytics = _deferred("analytics")
+archive = _deferred("archive")
+community = _deferred("community")
+fetcher = _deferred("fetcher")
+sentiment = _deferred("sentiment")
+simulator = _deferred("simulator")
+temporal = _deferred("temporal")
 
 REPORT_FILES = (
     "table1.csv",
@@ -78,8 +102,6 @@ def _sha256(path: str) -> str:
 def _write_manifest(
     out_dir: str, args: argparse.Namespace, inputs: list[str], counters: dict | None = None
 ) -> None:
-    from .archive import _atomic_write
-
     config = {
         key: value
         for key, value in sorted(vars(args).items())
@@ -100,15 +122,13 @@ def _write_manifest(
     }
     if counters is not None:
         manifest["counters"] = counters
-    with _atomic_write(os.path.join(out_dir, "manifest.json")) as fh:
+    with archive._atomic_write(os.path.join(out_dir, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _load(args: argparse.Namespace) -> Corpus:
-    from .archive import load_archive
-
-    corpus = load_archive(args.input, lenient=args.lenient)
+    corpus = archive.load_archive(args.input, lenient=args.lenient)
     # The corpus lives until the command ends and holds no reference cycles:
     # frozen, it is left out of every later collector pass.
     gc.freeze()
@@ -119,33 +139,30 @@ def _load(args: argparse.Namespace) -> Corpus:
 # Table builders shared by the standalone subcommands and `report`.
 
 
-def _summaries(corpus: Corpus) -> dict[Category, RepoSummary]:
-    from .analytics import repo_summary
-
-    return {cat: repo_summary(corpus, cat) for cat in corpus.categories()}
+def _summaries(corpus: Corpus) -> dict[Category, analytics.RepoSummary]:
+    return {cat: analytics.repo_summary(corpus, cat) for cat in corpus.categories()}
 
 
-def _table1(summaries: dict[Category, RepoSummary]) -> tuple[list[str], list[list]]:
-    from .analytics import SUMMARY_FIELDS
-
+def _table1(summaries: dict[Category, analytics.RepoSummary]) -> tuple[list[str], list[list]]:
     header = ["statistic"] + [c.value for c in CATEGORY_ORDER]
     columns = [summaries.get(cat) for cat in CATEGORY_ORDER]
     rows: list[list] = [["n_repos"] + [s.n_repos if s else 0 for s in columns]]
-    for name in SUMMARY_FIELDS:
+    for name in analytics.SUMMARY_FIELDS:
         rows.append([name] + [getattr(s, name) if s else None for s in columns])
     return header, rows
 
 
 def _correlation_table(corpus: Corpus, target: str) -> tuple[list[str], list[list]]:
-    from .analytics import ICS_TARGET_FEATURES, ISSUE_TARGET_FEATURES, EmptySelectionError, correlate_features
-
     header = ["category", "feature", "r", "p", "n", "note"]
     rows: list[list] = []
-    features = ISSUE_TARGET_FEATURES if target == "issues" else ICS_TARGET_FEATURES
+    if target == "issues":
+        features = analytics.ISSUE_TARGET_FEATURES
+    else:
+        features = analytics.ICS_TARGET_FEATURES
     for cat in corpus.categories():
         try:
-            report = correlate_features(corpus, target=target, category=cat)
-        except EmptySelectionError as exc:
+            report = analytics.correlate_features(corpus, target=target, category=cat)
+        except analytics.EmptySelectionError as exc:
             for feature in features:
                 rows.append([cat.value, feature, None, None, 0, str(exc)])
             continue
@@ -161,12 +178,10 @@ def _fields_table(row_type: type, records: tuple) -> tuple[list[str], list[list]
 
 
 def _expertise_tables(corpus: Corpus, _args: argparse.Namespace) -> dict:
-    from .analytics import expertise_coverage
-
     table4_rows: list[list] = []
     fig7_rows: list[list] = []
     for cat in corpus.categories():
-        report = expertise_coverage(corpus, category=cat)
+        report = analytics.expertise_coverage(corpus, category=cat)
         if report.empty:
             table4_rows.append([cat.value, 0, report.n_issues, None, None])
             continue
@@ -187,11 +202,9 @@ def _expertise_tables(corpus: Corpus, _args: argparse.Namespace) -> dict:
     }
 
 
-def _report_counters(corpus: Corpus, table: SimTable) -> dict:
+def _report_counters(corpus: Corpus, table: simulator.SimTable) -> dict:
     """Repos and undefined ICS scores per category, simulation exclusions per AP."""
-    from .analytics import corpus_index
-
-    index = corpus_index(corpus)
+    index = analytics.corpus_index(corpus)
     excluded: dict[str, int] = {}
     for (_, ap), sims in table.results.items():
         excluded[str(ap)] = excluded.get(str(ap), 0) + sum(s.excluded for s in sims)
@@ -211,14 +224,11 @@ def _report_counters(corpus: Corpus, table: SimTable) -> dict:
 
 
 def _cmd_fetch(args: argparse.Namespace) -> int:
-    from .archive import save_archive
-    from .fetcher import FetchError, FetchPlan, GitHubClient, fetch_corpus
-
     out_dir = os.path.dirname(os.path.abspath(args.out_archive))
     if not os.path.isdir(out_dir):  # before the first request, not after the last
         print(f"error: cannot write {args.out_archive}: no directory {out_dir}", file=sys.stderr)
         return 1
-    plan = FetchPlan(
+    plan = fetcher.FetchPlan(
         targets=tuple(args.repo),
         topic=args.topic,
         token=args.token,
@@ -230,9 +240,9 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     try:
-        client = GitHubClient(plan)
-        corpus = fetch_corpus(plan, client=client)
-    except FetchError as exc:
+        client = fetcher.GitHubClient(plan)
+        corpus = fetcher.fetch_corpus(plan, client=client)
+    except fetcher.FetchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.sample is not None:
@@ -243,7 +253,7 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
             rng.sample([r.id for r in corpus.repos], min(args.sample, len(corpus.repos)))
         )
         corpus.repos = [r for r in corpus.repos if r.id in keep]
-    save_archive(corpus, args.out_archive)
+    archive.save_archive(corpus, args.out_archive)
     _write_manifest(
         out_dir, args, [],
         counters={"requests": client.requests, "not_modified": client.not_modified},
@@ -290,16 +300,14 @@ def _correlate_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
 
 
 def _classify_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
-    from .temporal import InsufficientDataError, classify_gaps, idm, issue_gaps
-
     header = ["repo_id", "category", "n_gaps", "idm_hours", "dense_pct", "regular_pct", "dispersed_pct", "note"]
     rows: list[list] = []
     for repo in corpus.repos:
-        gaps = issue_gaps(repo)
+        gaps = temporal.issue_gaps(repo)
         try:
-            median = idm(gaps)
-            _, dist = classify_gaps(gaps, alpha=args.alpha)
-        except InsufficientDataError as exc:
+            median = temporal.idm(gaps)
+            _, dist = temporal.classify_gaps(gaps, alpha=args.alpha)
+        except temporal.InsufficientDataError as exc:
             rows.append([repo.id, repo.category.value, len(gaps.gaps), None, None, None, None, str(exc)])
             continue
         rows.append(
@@ -317,11 +325,9 @@ def _classify_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
     return {"classify": (header, rows)}
 
 
-def _simulate(corpus: Corpus, args: argparse.Namespace) -> SimTable:
-    from .simulator import SimConfig, simulate_corpus
-
+def _simulate(corpus: Corpus, args: argparse.Namespace) -> simulator.SimTable:
     configs = [
-        SimConfig(
+        simulator.SimConfig(
             acceptance_probability=ap,
             iap=args.iap,
             horizon=args.horizon,
@@ -333,33 +339,31 @@ def _simulate(corpus: Corpus, args: argparse.Namespace) -> SimTable:
         )
         for ap in args.ap
     ]
-    table = simulate_corpus(corpus, configs, timeline_window=args.window)
+    table = simulator.simulate_corpus(corpus, configs, timeline_window=args.window)
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return table
 
 
-def _simulate_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
-    from .simulator import SimRow, TimelineRow
-
-    table = _simulate(corpus, args)
+def _sim_tables(table: simulator.SimTable) -> dict:
     return {
-        "table3": _fields_table(SimRow, table.rows),
-        "fig6_timeline": _fields_table(TimelineRow, table.timelines),
+        "table3": _fields_table(simulator.SimRow, table.rows),
+        "fig6_timeline": _fields_table(simulator.TimelineRow, table.timelines),
     }
 
 
-def _community_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
-    from .analytics import corpus_index
-    from .community import build_graph, export_graph, ics, normalized_ics
+def _simulate_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
+    return _sim_tables(_simulate(corpus, args))
 
+
+def _community_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
     header = ["repo_id", "category", "issue_count", "e2_count", "ics", "normalized_ics",
               "isolated_issues", "undefined", "exceeds_one"]
     rows: list[list] = []
-    index = corpus_index(corpus)
+    index = analytics.corpus_index(corpus)
     for repo in corpus.repos:
-        graph = build_graph(repo, index[repo].postings)
-        report = ics(graph)
+        graph = community.build_graph(repo, index[repo].postings)
+        report = community.ics(graph)
         rows.append(
             [
                 repo.id,
@@ -367,31 +371,26 @@ def _community_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
                 report.issue_count,
                 report.e2_count,
                 report.ics,
-                normalized_ics(graph),
+                community.normalized_ics(graph),
                 len(report.isolated_issues),
                 report.undefined,
                 report.exceeds_one,
             ]
         )
         if args.export_graphs:
-            export_graph(graph, os.path.join(args.out, "graphs"))
+            community.export_graph(graph, os.path.join(args.out, "graphs"))
     return {"community": (header, rows)}
 
 
 def _sentiment_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
-    from .sentiment import repo_sentiment
-
     rows: list[list] = []
     for repo in corpus.repos:
-        score, n_comments = repo_sentiment(repo)
+        score, n_comments = sentiment.repo_sentiment(repo)
         rows.append([repo.id, repo.category.value, n_comments, score if n_comments else None])
     return {"sentiment": (["repo_id", "category", "n_comments", "mean_score"], rows)}
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .analytics import popularity_vs_comments
-    from .simulator import SimRow, TimelineRow
-
     corpus = _load(args)
     if os.path.exists(args.out):
         if not args.force:
@@ -403,14 +402,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     table = _simulate(corpus, args)
     summaries = _summaries(corpus)
-    popularity = popularity_vs_comments(corpus)
+    popularity = analytics.popularity_vs_comments(corpus)
     tables = {
         "table1": _table1(summaries),
         "table2": _correlation_table(corpus, "issues"),
-        "table3": _fields_table(SimRow, table.rows),
+        **_sim_tables(table),
         **_expertise_tables(corpus, args),
         "table5": _correlation_table(corpus, "ics"),
-        "fig6_timeline": _fields_table(TimelineRow, table.timelines),
         "fig8_popularity": (
             ["repo_id", "issue_count", "r", "p", "n"],
             [[r.repo_id, r.issue_count, r.r, r.p, r.n] for r in popularity.rows],
@@ -574,12 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .archive import ArchiveError
-
     frozen = gc.get_freeze_count()
     try:
         return args.func(args)
-    except (ArchiveError, ValueError, OSError) as exc:  # the analysis errors are ValueErrors
+    except (archive.ArchiveError, ValueError, OSError) as exc:  # the analysis errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

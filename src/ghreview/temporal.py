@@ -206,4 +206,3 @@ def timeline_from_times(
             )
         )
     return points
-

@@ -874,13 +874,19 @@ def test_installed_script_round_trip(tmp_path):
 
 SRC = str(Path(importlib.util.find_spec("ghreview").origin).parents[1])
 
+# The ghreview modules whose body has run.  The CLI enters its stage modules
+# in sys.modules through importlib's LazyLoader, whose proxy stays a
+# ModuleType subclass until the module's first attribute read.
+_RAN = ("sorted(n for n, m in sys.modules.items() "
+        "if n.startswith('ghreview') and type(m) is types.ModuleType)")
+
 
 def test_cli_import_leaves_requests_unloaded():
     # only GitHubClient needs an HTTP stack; report, simulate and validate skip its import time
     code = (
-        "import sys, ghreview.cli as cli; cli.build_parser(); "
+        "import sys, types, ghreview.cli as cli; cli.build_parser(); "
         "print(any(m in sys.modules for m in ('requests', 'http.client', 'ssl'))); "
-        "print(*sorted(m for m in sys.modules if m.startswith('ghreview')))"
+        f"print(*{_RAN})"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -896,16 +902,39 @@ def test_cli_import_leaves_requests_unloaded():
     assert ghreview_modules.split() == ["ghreview", "ghreview.cli", "ghreview.models", "ghreview.units"]
 
 
+def test_cli_import_registers_every_stage_module_unrun():
+    # a tool wrapping functions in every ghreview module of sys.modules right
+    # after importing the CLI (perfbench/tracer.py) reaches every stage
+    code = (
+        "import sys, types, ghreview.cli; "
+        "print(*sorted(n for n in sys.modules if n.startswith('ghreview'))); "
+        f"print(*{_RAN})"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    registered, ran = (set(line.split()) for line in proc.stdout.splitlines())
+    stages = {f"ghreview.{name}" for name in ("analytics", "archive", "community", "fetcher",
+                                                "sentiment", "simulator", "temporal")}
+    assert stages <= registered
+    assert not stages & ran
+
+
 # Runs one command in a fresh interpreter; the last stdout line lists the
-# ghreview submodules loaded by the time it returned.
-_RUN_AND_LIST = """
-import sys
+# ghreview submodules that ran by the time it returned.
+_RUN_AND_LIST = f"""
+import sys, types
 from ghreview.cli import main
 try:
     rc = main(sys.argv[1:])
 except SystemExit as exc:
     rc = exc.code
-print(*sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("ghreview.")))
+print(*(name.split(".", 1)[1] for name in {_RAN} if "." in name))
 sys.exit(rc)
 """
 

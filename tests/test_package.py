@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +19,9 @@ PUBLIC = {
                "Repository", "User", "validate"],
     "archive": ["ArchiveError", "ArchiveIntegrityError", "ArchiveInvariantError",
                 "ArchiveParseError", "load_archive", "save_archive"],
-    "temporal": ["ALPHA_DEFAULT", "Distribution", "GapSeries", "InsufficientDataError",
-                 "Label", "classify_gaps", "idm", "issue_gaps"],
+    "units": ["ALPHA_DEFAULT"],
+    "temporal": ["Distribution", "GapSeries", "InsufficientDataError", "Label",
+                 "classify_gaps", "idm", "issue_gaps"],
     "simulator": ["SimConfig", "SimResult", "simulate", "simulate_corpus"],
     "community": ["IssueCommunityGraph", "ICSReport", "build_graph", "ics"],
     "analytics": ["CorrelationReport", "CoverageReport", "EmptySelectionError",
@@ -50,3 +56,13 @@ def test_star_import_binds_every_public_name():
 def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(ghreview, name)
+
+
+def test_submodule_resolves_as_a_package_attribute():
+    # a fresh interpreter, so no earlier import has bound the submodule
+    code = "import ghreview; print(ghreview.temporal.__name__, ghreview.units.ALPHA_DEFAULT)"
+    src = str(Path(importlib.util.find_spec("ghreview").origin).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ghreview.temporal", str(ghreview.ALPHA_DEFAULT)]
