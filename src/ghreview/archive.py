@@ -3,8 +3,9 @@
 One UTF-8 JSON record per line, each with a ``kind`` discriminator
 (``meta`` | ``user`` | ``repo`` | ``issue`` | ``comment`` | ``commit``).
 The first record must be the schema header ``{"kind": "meta", "version": 1}``.
-Records may appear in any order after the header; one pass reads each
-line's field values, and references are resolved after the last line.
+Records may appear in any order after the header; one pass turns each
+line into its model object, and the names it refers by are resolved after
+the last line.  A loaded corpus holds one string object per distinct name.
 
 Timestamps are accepted either as UTC epoch seconds or as ISO-8601 strings
 (naive strings are taken as UTC); they are always written back as epoch
@@ -92,61 +93,79 @@ def _parse_timestamp(value, line_no, field: str) -> float:
 
 _REQUIRED = object()  # the default of a field every record of its kind must carry
 _TIMESTAMP = "timestamp"  # epoch seconds or an ISO-8601 string; written as epoch seconds
+_NAME = "name"  # a string naming a user, repo or issue; one string object per name in a load
 
 # The archive format: per record kind, its fields in canonical write order as
 # (JSON key, model attribute, JSON type, default).  A ``list`` is a list of
-# logins; a ``str`` field whose attribute holds a User is written as its
+# logins; a ``_NAME`` field whose attribute holds a User is written as its
 # login.  A field whose default is None may be null, which means absent.
 _FIELDS = {
     "user": (
-        ("login", "login", str, _REQUIRED),
+        ("login", "login", _NAME, _REQUIRED),
         ("followers", "followers", int, 0),
     ),
     "repo": (
-        ("id", "id", str, _REQUIRED),
+        ("id", "id", _NAME, _REQUIRED),
         ("category", "category", str, _REQUIRED),
         ("created_at", "created_at", _TIMESTAMP, _REQUIRED),
-        ("owner", "owner", str, _REQUIRED),
+        ("owner", "owner", _NAME, _REQUIRED),
         ("contributors", "contributors", list, ()),
         ("stargazers", "stargazers", int, 0),
         ("forks", "forks", int, 0),
         ("watchers", "watchers", int, 0),
     ),
     "issue": (
-        ("id", "id", str, _REQUIRED),
-        ("repo", "repo_id", str, _REQUIRED),
-        ("opener", "opener", str, _REQUIRED),
+        ("id", "id", _NAME, _REQUIRED),
+        ("repo", "repo_id", _NAME, _REQUIRED),
+        ("opener", "opener", _NAME, _REQUIRED),
         ("created_at", "created_at", _TIMESTAMP, _REQUIRED),
         ("has_linked_code", "has_linked_code", bool, False),
         ("closed_at", "closed_at", _TIMESTAMP, None),
-        ("closer", "closer", str, None),
+        ("closer", "closer", _NAME, None),
     ),
     "comment": (
-        ("issue", "issue_id", str, _REQUIRED),
-        ("author", "author", str, _REQUIRED),
+        ("issue", "issue_id", _NAME, _REQUIRED),
+        ("author", "author", _NAME, _REQUIRED),
         ("created_at", "created_at", _TIMESTAMP, _REQUIRED),
         ("body", "body", str, ""),
     ),
     "commit": (
-        ("repo", "repo_id", str, _REQUIRED),
-        ("author", "author", str, _REQUIRED),
+        ("repo", "repo_id", _NAME, _REQUIRED),
+        ("author", "author", _NAME, _REQUIRED),
         ("created_at", "created_at", _TIMESTAMP, _REQUIRED),
         ("lines_added", "lines_added", int, 0),
         ("lines_removed", "lines_removed", int, 0),
-        ("issue", "issue_id", str, None),
+        ("issue", "issue_id", _NAME, None),
     ),
 }
 
-_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a bool", list: "a list of strings"}
+# Per record kind, the model object made from its field values in ``_FIELDS``
+# order; its references still hold the names that ``link`` resolves.
+_NEW = {
+    "user": User,
+    "repo": Repository,
+    "issue": lambda issue_id, repo_id, opener, created_at, has_linked_code, closed_at, closer: Issue(
+        issue_id, repo_id, opener, created_at, closer, closed_at, has_linked_code
+    ),
+    "comment": Comment,
+    "commit": Commit,
+}
+
+_TYPE_NAMES = {str: "a string", _NAME: "a string", int: "an integer", bool: "a bool", list: "a list of strings"}
 _FLOAT_MAX = sys.float_info.max
 
 
-def _read(record: dict, kind: str, line_no) -> list:
-    """The values of a ``kind`` record's fields, in ``_FIELDS`` order."""
+def _read(record: dict, kind: str, line_no, names: dict[str, str]) -> list:
+    """The values of a ``kind`` record's fields, in ``_FIELDS`` order.
+
+    Each name is replaced by the first equal string ``names`` has seen.
+    """
     values = []
     for key, _, json_type, default in _FIELDS[kind]:
         value = record.get(key, default)
-        if type(value) is json_type and json_type is not list:
+        if json_type is _NAME and type(value) is str:
+            value = names.setdefault(value, value)
+        elif type(value) is json_type and json_type is not list:
             pass
         elif json_type is _TIMESTAMP and (type(value) is int or type(value) is float) and (
             -_FLOAT_MAX <= value <= _FLOAT_MAX  # finite, and an int that fits a float
@@ -179,17 +198,20 @@ def _enforce(broken: tuple, line_no, record_id: str) -> None:
 
 
 class _Loader:
-    """Two-phase loader: ``read`` type-checks each record into its kind's bucket,
-    then ``link`` resolves references, checks the rules and sorts.
+    """Two-phase loader: ``read`` type-checks each record into its model object,
+    whose references still hold names, and ``link`` resolves the names, checks
+    the rules and sorts.
 
     A record's source, passed where errors take a line number, is its line in
-    an archive file, or the URL of a fetched payload.
+    an archive file, or the URL of a fetched payload.  The name table and the
+    per-kind buckets of sources and objects live only as long as the loader.
     """
 
     def __init__(self, lenient: bool):
         self.lenient = lenient
         self.rejected: list[Rejection] = []
-        self.by_kind: dict[str, list[tuple[object, list]]] = {kind: [] for kind in _FIELDS}
+        self.names: dict[str, str] = {}
+        self.by_kind: dict[str, tuple[list, list]] = {kind: ([], []) for kind in _FIELDS}
         self.users: dict[str, User] = {}
         self.repos: dict[str, Repository] = {}
         self.issues: dict[str, Issue] = {}
@@ -200,11 +222,15 @@ class _Loader:
         self.rejected.append(Rejection(error.line_no, str(error)))
 
     def read(self, source, kind: str, record: dict) -> None:
-        """Bucket the field values of one record of a known ``kind``."""
+        """Bucket the model object of one record of a known ``kind``."""
         try:
-            self.by_kind[kind].append((source, _read(record, kind, source)))
+            obj = _NEW[kind](*_read(record, kind, source, self.names))
         except ArchiveError as err:
             self.reject(err)
+            return
+        sources, objects = self.by_kind[kind]
+        sources.append(source)
+        objects.append(obj)
 
     def load(self, path) -> Corpus:
         meta = None
@@ -249,7 +275,7 @@ class _Loader:
         return self.link(meta)
 
     def link(self, meta: dict) -> Corpus:
-        """The corpus of every bucketed record, linked, checked and in canonical order."""
+        """The corpus of every bucketed object, linked, checked and in canonical order."""
         # kinds in dependency order (each refers only to earlier kinds); a linked bucket is freed
         for kind, add in (
             ("user", self._add_user),
@@ -258,9 +284,9 @@ class _Loader:
             ("comment", self._add_comment),
             ("commit", self._add_commit),
         ):
-            for source, values in self.by_kind.pop(kind):
+            for source, obj in zip(*self.by_kind.pop(kind)):
                 try:
-                    add(source, *values)
+                    add(source, obj)
                 except ArchiveError as err:
                     self.reject(err)
 
@@ -277,58 +303,46 @@ class _Loader:
                 issue.comments.sort(key=lambda c: (c.created_at, c.author.login))
         return corpus
 
-    def _add_user(self, line_no, login, followers):
-        user = User(login=login, followers=followers)
+    def _add_user(self, line_no, user: User):
+        login = user.login
         _enforce(user_rules(user), line_no, login or "<user>")
         if login in self.users:
             raise ArchiveInvariantError(line_no, login, "duplicate user login")
         self.users[login] = user
 
-    def _add_repo(
-        self, line_no, repo_id, category, created_at, owner, contributors, stargazers, forks, watchers
-    ):
+    def _add_repo(self, line_no, repo: Repository):
         try:
-            category = Category.parse(category)
+            repo.category = Category.parse(repo.category)
         except ValueError:
             pass  # repo_rules rejects the unparsed name
-        users = self.users
-        owner = users.get(owner) or _dangling(line_no, repo_id, owner, "user")
-        contributors = [users.get(login) or _dangling(line_no, repo_id, login, "user") for login in contributors]
-        repo = Repository(
-            id=repo_id,
-            category=category,
-            created_at=created_at,
-            owner=owner,
-            contributors=tuple(sorted(contributors, key=lambda u: u.login)),
-            stargazers=stargazers,
-            forks=forks,
-            watchers=watchers,
-        )
+        users, repo_id = self.users, repo.id
+        repo.owner = users.get(repo.owner) or _dangling(line_no, repo_id, repo.owner, "user")
+        contributors = [users.get(login) or _dangling(line_no, repo_id, login, "user") for login in repo.contributors]
+        repo.contributors = tuple(sorted(contributors, key=lambda u: u.login))
         _enforce(repo_rules(repo, self.repos), line_no, repo_id)
         self.repos[repo_id] = repo
 
-    def _add_issue(self, line_no, issue_id, repo_id, opener, created_at, has_linked_code, closed_at, closer):
-        users = self.users
-        repo = self.repos.get(repo_id) or _dangling(line_no, issue_id, repo_id, "repo")
-        opener = users.get(opener) or _dangling(line_no, issue_id, opener, "user")
-        if closer is not None:
-            closer = users.get(closer) or _dangling(line_no, issue_id, closer, "user")
-        issue = Issue(issue_id, repo_id, opener, created_at, closer, closed_at, has_linked_code)
+    def _add_issue(self, line_no, issue: Issue):
+        users, issue_id = self.users, issue.id
+        repo = self.repos.get(issue.repo_id) or _dangling(line_no, issue_id, issue.repo_id, "repo")
+        issue.opener = users.get(issue.opener) or _dangling(line_no, issue_id, issue.opener, "user")
+        if issue.closer is not None:
+            issue.closer = users.get(issue.closer) or _dangling(line_no, issue_id, issue.closer, "user")
         _enforce(issue_rules(issue, repo, self.issues), line_no, issue_id)
         self.issues[issue_id] = issue
         repo.issues.append(issue)
 
-    def _add_comment(self, line_no, issue_id, author, created_at, body):
+    def _add_comment(self, line_no, comment: Comment):
+        issue_id = comment.issue_id
         issue = self.issues.get(issue_id) or _dangling(line_no, f"<comment line {line_no}>", issue_id, "issue")
-        author = self.users.get(author) or _dangling(line_no, issue_id, author, "user")
-        comment = Comment(issue_id, author, created_at, body)
+        comment.author = self.users.get(comment.author) or _dangling(line_no, issue_id, comment.author, "user")
         _enforce(comment_rules(comment, issue), line_no, issue_id)
         issue.comments.append(comment)
 
-    def _add_commit(self, line_no, repo_id, author, created_at, lines_added, lines_removed, issue_id):
+    def _add_commit(self, line_no, commit: Commit):
+        repo_id = commit.repo_id
         repo = self.repos.get(repo_id) or _dangling(line_no, f"<commit line {line_no}>", repo_id, "repo")
-        author = self.users.get(author) or _dangling(line_no, repo_id, author, "user")
-        commit = Commit(repo_id, author, created_at, lines_added, lines_removed, issue_id)
+        commit.author = self.users.get(commit.author) or _dangling(line_no, repo_id, commit.author, "user")
         _enforce(commit_rules(commit, repo, self.issues), line_no, repo_id)
         repo.commits.append(commit)
 

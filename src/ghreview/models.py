@@ -2,7 +2,9 @@
 
 A corpus is a set of repositories, each carrying its full event tree
 (issues, comments, commits) plus the users involved.  Objects are treated
-as immutable after construction, so analytics can share a corpus across
+as immutable after construction: the archive loader builds each one with
+its references as names and fills in the referenced objects before
+``load_archive`` returns.  So analytics can share a corpus across
 threads without locking, and can keep what it derives from a corpus on
 the corpus itself (``Corpus.index``) for the rest of the run.
 

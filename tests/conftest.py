@@ -1,4 +1,5 @@
-"""Shared fixtures: the hand-computed corpus and scratch directories."""
+"""Shared fixtures: the hand-computed corpus, scratch directories and a
+check that a loaded corpus holds one string object per name."""
 
 from __future__ import annotations
 
@@ -29,3 +30,37 @@ def tiny_corpus():
 @pytest.fixture
 def out_dir(tmp_path) -> str:
     return str(tmp_path / "out")
+
+
+def _assert_names_shared(repos, users) -> None:
+    """Every reference in ``repos`` is the very string object it names."""
+    logins = {login: login for login in users}
+
+    def shared(user):
+        assert users[user.login] is user and logins[user.login] is user.login
+
+    ids = {}
+    for repo in repos:
+        shared(repo.owner)
+        for user in repo.contributors:
+            shared(user)
+        for issue in repo.issues:
+            ids[issue.id] = issue
+            assert issue.repo_id is repo.id
+            shared(issue.opener)
+            if issue.closer is not None:
+                shared(issue.closer)
+            for comment in issue.comments:
+                assert comment.issue_id is issue.id
+                shared(comment.author)
+    for repo in repos:
+        for commit in repo.commits:
+            assert commit.repo_id is repo.id
+            shared(commit.author)
+            if commit.issue_id is not None:
+                assert commit.issue_id is ids[commit.issue_id].id
+
+
+@pytest.fixture(scope="session")
+def assert_names_shared():
+    return _assert_names_shared

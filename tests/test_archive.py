@@ -167,6 +167,12 @@ def test_load_holds_no_decoded_record_past_its_line(large_archive):
     assert peak <= 2.5 * held
 
 
+def test_load_peaks_below_1_6x_the_corpus(large_archive):
+    # holding each record's field values until the link phase peaks near 1.8x
+    _, held, peak = _traced(lambda: load_archive(large_archive))
+    assert peak <= 1.6 * held
+
+
 def test_save_streams_lines_to_the_file(large_archive, tmp_path):
     # building the whole file in memory first peaks above 3x its size
     corpus = load_archive(large_archive)
@@ -410,6 +416,102 @@ def test_line_decode_matches_json_loads(tmp_path, line, reason):
         load_archive(path)
     assert (exc_info.value.line_no, str(exc_info.value)) == (6, f"line 6: {reason}")
     assert load_archive(path, lenient=True).rejected == [Rejection(6, f"line 6: {reason}")]
+
+
+COMMENT_ANN = '{"kind":"comment","issue":"one/repo#1","author":"ann","created_at":250,"body":"ok"}'
+COMMENT_CAT = '{"kind":"comment","issue":"one/repo#1","author":"cat","created_at":260}'
+LINKED_COMMIT = (
+    '{"kind":"commit","repo":"one/repo","author":"ann","created_at":500,"issue":"one/repo#404"}'
+)
+
+
+# Strict and lenient verdicts recorded from the two-phase loader: parse errors
+# surface while lines are read, in file order; link errors follow, kind by
+# kind (users, repos, issues, comments, commits), each kind in file order.
+@pytest.mark.parametrize(
+    ("lines", "strict", "rejected"),
+    [
+        pytest.param(
+            [USER_ANN, USER_BOB, REPO_ONE, COMMENT_ANN.replace("250", "150"), COMMENT_ANN, ISSUE_ONE],
+            (ArchiveInvariantError, 5, "line 5: one/repo#1: comment precedes issue created_at"),
+            [(5, "line 5: one/repo#1: comment precedes issue created_at")],
+            id="comment-before-its-issue",
+        ),
+        pytest.param(
+            [USER_ANN, USER_BOB, USER_CAT.replace('"followers":1', '"followers":-1'), REPO_ONE, ISSUE_ONE, COMMENT_CAT],
+            (ArchiveInvariantError, 4, "line 4: cat: followers must be >= 0"),
+            [
+                (4, "line 4: cat: followers must be >= 0"),
+                (7, "line 7: one/repo#1 -> cat: reference to unknown user"),
+            ],
+            id="author-rejected-by-rule",
+        ),
+        pytest.param(
+            [USER_ANN, USER_BOB, USER_CAT.replace('"followers":1', '"followers":"many"'), REPO_ONE, ISSUE_ONE, COMMENT_CAT],
+            (ArchiveParseError, 4, "line 4: field 'followers' must be an integer"),
+            [
+                (4, "line 4: field 'followers' must be an integer"),
+                (7, "line 7: one/repo#1 -> cat: reference to unknown user"),
+            ],
+            id="author-rejected-by-parse",
+        ),
+        pytest.param(
+            [USER_ANN, USER_BOB, REPO_ONE, ISSUE_ONE, COMMENT_ANN, ISSUE_ONE.replace('"bob"', '"ann"')],
+            (ArchiveInvariantError, 7, "line 7: one/repo#1: duplicate issue id"),
+            [(7, "line 7: one/repo#1: duplicate issue id")],
+            id="duplicate-issue-id",
+        ),
+        pytest.param(
+            [USER_ANN, USER_BOB, REPO_ONE, LINKED_COMMIT, ISSUE_ONE],
+            (ArchiveInvariantError, 5, "line 5: one/repo: commit links unknown issue one/repo#404"),
+            [(5, "line 5: one/repo: commit links unknown issue one/repo#404")],
+            id="commit-links-unknown-issue",
+        ),
+        pytest.param(
+            [
+                USER_ANN,
+                '{"kind":"user","login":"ann","followers":9}',  # line 3: duplicate login
+                USER_BOB,
+                LINKED_COMMIT,  # line 5
+                REPO_ONE,
+                "{broken",  # line 7
+                COMMENT_CAT,  # line 8: no such user
+                '{"kind":"wat"}',  # line 9
+                ISSUE_ONE,
+                '{"kind":"issue","id":"one/repo#2","repo":"one/repo"}',  # line 11
+                '{"kind":"issue","id":"x#1","repo":"nowhere","opener":"ann","created_at":5}',  # line 12
+            ],
+            (ArchiveParseError, 7, "line 7: invalid JSON: Expecting property name enclosed in double quotes"),
+            [
+                (7, "line 7: invalid JSON: Expecting property name enclosed in double quotes"),
+                (9, "line 9: unknown record kind: 'wat'"),
+                (11, "line 11: missing field 'opener' in issue record"),
+                (3, "line 3: ann: duplicate user login"),
+                (12, "line 12: x#1 -> nowhere: reference to unknown repo"),
+                (8, "line 8: one/repo#1 -> cat: reference to unknown user"),
+                (5, "line 5: one/repo: commit links unknown issue one/repo#404"),
+            ],
+            id="parse-and-link-errors",
+        ),
+    ],
+)
+def test_load_errors_and_rejection_order_are_pinned(tmp_path, lines, strict, rejected):
+    path = _write(tmp_path, META, *lines)
+    with pytest.raises(ArchiveError) as exc_info:
+        load_archive(path)
+    assert (type(exc_info.value), exc_info.value.line_no, str(exc_info.value)) == strict
+    corpus = load_archive(path, lenient=True)
+    assert corpus.rejected == [Rejection(line_no, reason) for line_no, reason in rejected]
+
+
+def test_loaded_names_are_shared(tiny_path, large_archive, tmp_path, assert_names_shared):
+    linked = LINKED_COMMIT.replace("#404", "#1")
+    path = _write(tmp_path, META, USER_ANN, USER_BOB, REPO_ONE, linked, COMMENT_ANN, ISSUE_ONE)
+    for archive in (tiny_path, large_archive, path):
+        corpus = load_archive(archive)
+        assert_names_shared(corpus.repos, corpus.users)
+    repo = corpus.repos[0]
+    assert repo.commits[0].issue_id is repo.issues[0].id
 
 
 def test_duplicate_repo_id_raises(tmp_path):

@@ -114,6 +114,11 @@ def test_all_pages_are_collected(cold_widgets):
     assert set(users) == set(LOGIN_POOL)
 
 
+def test_fetched_names_are_shared(cold_widgets, assert_names_shared):
+    repo, users, _ = cold_widgets
+    assert_names_shared([repo], users)
+
+
 def test_request_count_is_exactly_one_per_page(cold_widgets):
     _, _, (requests, full, not_modified) = cold_widgets
     assert full == WIDGETS_REQUESTS
