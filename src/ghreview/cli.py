@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 One subcommand per pipeline stage, plus ``report`` which runs everything
-and writes the full set of table/figure analog files.  Every run echoes
-its effective configuration (seed included) into ``manifest.json`` in the
-output directory; identical arguments over an identical archive produce
-byte-identical outputs apart from the manifest timestamp.
+and writes the full set of table/figure analog files.  Each writes its
+tables and a ``manifest.json`` echoing its effective configuration (seed
+included) into ``--out`` through one runner: see ``_output_command``.
+Identical arguments over an identical archive produce byte-identical
+outputs apart from the manifest timestamp.  ``fetch`` writes its manifest
+beside the archive.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import os
 import random
 import shutil
 import sys
-import tempfile
 from dataclasses import fields
 from datetime import datetime, timezone
 from types import ModuleType
+from typing import NamedTuple
 
 from . import __version__
 from .models import CATEGORY_ORDER, Category, Corpus, validate
@@ -83,6 +85,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_json(path: str, payload, **kwargs) -> None:
+    with archive._atomic_write(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, **kwargs)
+        fh.write("\n")
+
+
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -122,9 +130,7 @@ def _write_manifest(
     }
     if counters is not None:
         manifest["counters"] = counters
-    with archive._atomic_write(os.path.join(out_dir, "manifest.json")) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _load(args: argparse.Namespace) -> Corpus:
@@ -137,6 +143,14 @@ def _load(args: argparse.Namespace) -> Corpus:
 
 # ---------------------------------------------------------------------------
 # Table builders shared by the standalone subcommands and `report`.
+
+
+class _Output(NamedTuple):
+    """What a command writes into its output directory besides the manifest."""
+
+    tables: dict  # name -> (header, rows), one CSV or JSON file each per ``--format``
+    documents: dict = {}  # file name -> JSON payload
+    counters: dict | None = None  # the manifest's ``counters``
 
 
 def _summaries(corpus: Corpus) -> dict[Category, analytics.RepoSummary]:
@@ -177,7 +191,7 @@ def _fields_table(row_type: type, records: tuple) -> tuple[list[str], list[list]
     return header, [[getattr(r, name) for name in header] for r in records]
 
 
-def _expertise_tables(corpus: Corpus, _args: argparse.Namespace) -> dict:
+def _expertise_tables(corpus: Corpus, _args: argparse.Namespace, _out: str) -> _Output:
     table4_rows: list[list] = []
     fig7_rows: list[list] = []
     for cat in corpus.categories():
@@ -196,10 +210,10 @@ def _expertise_tables(corpus: Corpus, _args: argparse.Namespace) -> dict:
         )
         for point in report.curve:
             fig7_rows.append([cat.value, point.reviewer_rank_pct, point.issues_covered_pct])
-    return {
+    return _Output({
         "table4": (["category", "n_reviewers", "n_issues", "popularity_ratio_pct", "issue_coverage_pct"], table4_rows),
         "fig7_coverage": (["category", "reviewer_rank_pct", "issues_covered_pct"], fig7_rows),
-    }
+    })
 
 
 def _report_counters(corpus: Corpus, table: simulator.SimTable) -> dict:
@@ -276,30 +290,59 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tables_command(build):
-    """A subcommand writing each table of ``build(corpus, args)``, by name, then the manifest."""
+def _output_command(build):
+    """A subcommand writing ``build(corpus, args, staging)`` and a manifest into ``--out``, whole.
+
+    An existing ``--out`` is refused before the load unless ``--force`` is
+    given.  Everything goes into a new hidden sibling of ``--out`` (``build``
+    writes its own files there too), which replaces ``--out`` only once
+    complete and is removed on any failure.  A replaced ``--out`` (a
+    directory; a file or symlink is never replaced) is deleted after that.
+    """
 
     def run(args: argparse.Namespace) -> int:
+        if os.path.exists(args.out) and not args.force:
+            print(f"error: output directory exists: {args.out}", file=sys.stderr)
+            return 1
         corpus = _load(args)
-        os.makedirs(args.out, exist_ok=True)
-        for name, (header, rows) in build(corpus, args).items():
-            _write_table(args.out, name, header, rows, args.format)
-        _write_manifest(args.out, args, [args.input])
+        parent, base = os.path.split(os.path.abspath(args.out))
+        os.makedirs(parent, exist_ok=True)
+        staging = os.path.join(parent, f".{base}-{os.urandom(6).hex()}")
+        os.mkdir(staging)  # unlike mkdtemp's 0o700, the umask sets its mode
+        try:
+            output = build(corpus, args, staging)
+            for name, (header, rows) in output.tables.items():
+                if args.format == "csv":
+                    _write_csv(os.path.join(staging, f"{name}.csv"), header, rows)
+                else:
+                    payload = [dict(zip(header, row)) for row in rows]
+                    _write_json(os.path.join(staging, f"{name}.json"), payload, default=_fmt)
+            for name, payload in output.documents.items():
+                _write_json(os.path.join(staging, name), payload)
+            _write_manifest(staging, args, [args.input], output.counters)
+            if os.path.isdir(args.out) and not os.path.islink(args.out):
+                os.replace(args.out, f"{staging}.old")  # not deleted yet: renaming '.' fails
+            os.replace(staging, args.out)
+        except BaseException:
+            shutil.rmtree(staging, ignore_errors=True)
+            raise
+        shutil.rmtree(f"{staging}.old", ignore_errors=True)
+        print(f"{args.subcommand} written to {args.out}")
         return 0
 
     return run
 
 
-def _summary_tables(corpus: Corpus, _args: argparse.Namespace) -> dict:
-    return {"table1": _table1(_summaries(corpus))}
+def _summary_tables(corpus: Corpus, _args: argparse.Namespace, _out: str) -> _Output:
+    return _Output({"table1": _table1(_summaries(corpus))})
 
 
-def _correlate_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
+def _correlate_tables(corpus: Corpus, args: argparse.Namespace, _out: str) -> _Output:
     name = "table2" if args.target == "issues" else "table5"
-    return {name: _correlation_table(corpus, args.target)}
+    return _Output({name: _correlation_table(corpus, args.target)})
 
 
-def _classify_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
+def _classify_tables(corpus: Corpus, args: argparse.Namespace, _out: str) -> _Output:
     header = ["repo_id", "category", "n_gaps", "idm_hours", "dense_pct", "regular_pct", "dispersed_pct", "note"]
     rows: list[list] = []
     for repo in corpus.repos:
@@ -322,7 +365,7 @@ def _classify_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
                 None,
             ]
         )
-    return {"classify": (header, rows)}
+    return _Output({"classify": (header, rows)})
 
 
 def _simulate(corpus: Corpus, args: argparse.Namespace) -> simulator.SimTable:
@@ -352,11 +395,11 @@ def _sim_tables(table: simulator.SimTable) -> dict:
     }
 
 
-def _simulate_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
-    return _sim_tables(_simulate(corpus, args))
+def _simulate_tables(corpus: Corpus, args: argparse.Namespace, _out: str) -> _Output:
+    return _Output(_sim_tables(_simulate(corpus, args)))
 
 
-def _community_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
+def _community_tables(corpus: Corpus, args: argparse.Namespace, out: str) -> _Output:
     header = ["repo_id", "category", "issue_count", "e2_count", "ics", "normalized_ics",
               "isolated_issues", "undefined", "exceeds_one"]
     rows: list[list] = []
@@ -378,28 +421,19 @@ def _community_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
             ]
         )
         if args.export_graphs:
-            community.export_graph(graph, os.path.join(args.out, "graphs"))
-    return {"community": (header, rows)}
+            community.export_graph(graph, os.path.join(out, "graphs"))
+    return _Output({"community": (header, rows)})
 
 
-def _sentiment_tables(corpus: Corpus, args: argparse.Namespace) -> dict:
+def _sentiment_tables(corpus: Corpus, _args: argparse.Namespace, _out: str) -> _Output:
     rows: list[list] = []
     for repo in corpus.repos:
         score, n_comments = sentiment.repo_sentiment(repo)
         rows.append([repo.id, repo.category.value, n_comments, score if n_comments else None])
-    return {"sentiment": (["repo_id", "category", "n_comments", "mean_score"], rows)}
+    return _Output({"sentiment": (["repo_id", "category", "n_comments", "mean_score"], rows)})
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    if os.path.exists(args.out):
-        if not args.force:
-            print(f"error: output directory exists: {args.out}", file=sys.stderr)
-            return 1
-        shutil.rmtree(args.out)
-    parent = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(parent, exist_ok=True)
-
+def _report_tables(corpus: Corpus, args: argparse.Namespace, out: str) -> _Output:
     table = _simulate(corpus, args)
     summaries = _summaries(corpus)
     popularity = analytics.popularity_vs_comments(corpus)
@@ -407,7 +441,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "table1": _table1(summaries),
         "table2": _correlation_table(corpus, "issues"),
         **_sim_tables(table),
-        **_expertise_tables(corpus, args),
+        **_expertise_tables(corpus, args, out).tables,
         "table5": _correlation_table(corpus, "ics"),
         "fig8_popularity": (
             ["repo_id", "issue_count", "r", "p", "n"],
@@ -424,31 +458,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         },
         "popularity_omitted_repos": popularity.omitted,
     }
-
-    tmp = tempfile.mkdtemp(prefix=".report-", dir=parent)
-    try:
-        for name, (header, rows) in tables.items():
-            _write_csv(os.path.join(tmp, f"{name}.csv"), header, rows)
-        with open(os.path.join(tmp, "report.json"), "w", encoding="utf-8") as fh:
-            json.dump(combined, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_manifest(tmp, args, [args.input], _report_counters(corpus, table))
-        os.replace(tmp, args.out)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    print(f"report written to {args.out}")
-    return 0
-
-
-def _write_table(out_dir: str, name: str, header: list[str], rows: list[list], fmt: str) -> None:
-    if fmt == "csv":
-        _write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows)
-    else:
-        payload = [dict(zip(header, row)) for row in rows]
-        with open(os.path.join(out_dir, f"{name}.json"), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=_fmt)
-            fh.write("\n")
+    return _Output(tables, {"report.json": combined}, _report_counters(corpus, table))
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +485,7 @@ def _add_common(parser: argparse.ArgumentParser, needs_out: bool = True) -> None
     if needs_out:
         parser.add_argument("--out", default="out", help="output directory")
         parser.add_argument("--format", choices=("csv", "structured"), default="csv")
+        parser.add_argument("--force", action="store_true", help="replace an existing output directory")
     parser.add_argument("--seed", type=int, default=0, help="seed echoed into the manifest")
 
 
@@ -503,6 +514,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def output_command(name: str, build, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        _add_common(p)
+        p.set_defaults(func=_output_command(build), subcommand=name)
+        return p
+
     p = sub.add_parser("fetch", help="pull repositories from a REST endpoint into an archive")
     p.add_argument("--repo", action="append", default=[], help="owner/name slug; repeatable")
     p.add_argument("--topic", help="also fetch repositories matching this topic")
@@ -524,47 +541,30 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, needs_out=False)
     p.set_defaults(func=_cmd_validate, subcommand="validate")
 
-    p = sub.add_parser("summary", help="per-category summary statistics")
-    _add_common(p)
-    p.set_defaults(func=_tables_command(_summary_tables), subcommand="summary")
+    output_command("summary", _summary_tables, "per-category summary statistics")
 
-    p = sub.add_parser("classify", help="per-repo gap classification shares")
-    _add_common(p)
+    p = output_command("classify", _classify_tables, "per-repo gap classification shares")
     p.add_argument("--alpha", type=_positive_duration, default=ALPHA_DEFAULT,
                    help="half-width of the regular band (e.g. 6h)")
-    p.set_defaults(func=_tables_command(_classify_tables), subcommand="classify")
 
-    p = sub.add_parser("simulate", help="notification simulation over the corpus")
-    _add_common(p)
+    p = output_command("simulate", _simulate_tables, "notification simulation over the corpus")
     p.add_argument("--alpha", type=_positive_duration, default=ALPHA_DEFAULT)
     _add_sim_flags(p)
-    p.set_defaults(func=_tables_command(_simulate_tables), subcommand="simulate")
 
-    p = sub.add_parser("community", help="issue community graphs and scores")
-    _add_common(p)
+    p = output_command("community", _community_tables, "issue community graphs and scores")
     p.add_argument("--export-graphs", action="store_true",
                    help="also write per-repo edge-list CSVs")
-    p.set_defaults(func=_tables_command(_community_tables), subcommand="community")
 
-    p = sub.add_parser("expertise", help="reviewer coverage and popularity concentration")
-    _add_common(p)
-    p.set_defaults(func=_tables_command(_expertise_tables), subcommand="expertise")
+    output_command("expertise", _expertise_tables, "reviewer coverage and popularity concentration")
 
-    p = sub.add_parser("correlate", help="feature correlations per category")
-    _add_common(p)
+    p = output_command("correlate", _correlate_tables, "feature correlations per category")
     p.add_argument("--target", choices=("issues", "ics"), default="issues")
-    p.set_defaults(func=_tables_command(_correlate_tables), subcommand="correlate")
 
-    p = sub.add_parser("sentiment", help="per-repo mean comment sentiment")
-    _add_common(p)
-    p.set_defaults(func=_tables_command(_sentiment_tables), subcommand="sentiment")
+    output_command("sentiment", _sentiment_tables, "per-repo mean comment sentiment")
 
-    p = sub.add_parser("report", help="full pipeline: all table and figure files")
-    _add_common(p)
+    p = output_command("report", _report_tables, "full pipeline: all table and figure files")
     p.add_argument("--alpha", type=_positive_duration, default=ALPHA_DEFAULT)
     _add_sim_flags(p)
-    p.add_argument("--force", action="store_true", help="replace an existing output directory")
-    p.set_defaults(func=_cmd_report, subcommand="report")
 
     return parser
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from ghreview import __version__, analytics, community
+from ghreview import __version__, analytics, community, sentiment
 from ghreview.archive import ArchiveError, load_archive, save_archive
 from ghreview.cli import REPORT_FILES, main
 from ghreview.community import build_graph, ics
@@ -798,6 +798,149 @@ def test_a_callers_freeze_outlives_main(tiny_path, tmp_path):
         gc.unfreeze()
 
 
+def test_report_structured_format_writes_json_tables(tiny_path, tmp_path):
+    out = tmp_path / "report"
+    assert _run_report(tiny_path, out, "--format", "structured") == 0
+    tables = [name.replace(".csv", ".json") for name in REPORT_FILES]
+    assert sorted(os.listdir(out)) == sorted(tables + ["manifest.json", "report.json"])
+    assert (out / "report.json").read_bytes() == (GOLDEN / "report" / "report.json").read_bytes()
+    # the same Table 1 as `summary --format structured`
+    assert (out / "table1.json").read_bytes() == (GOLDEN / "summary_structured" / "table1.json").read_bytes()
+    with open(out / "fig8_popularity.json", encoding="utf-8") as fh:
+        repo_ids = [row["repo_id"] for row in json.load(fh)]
+    assert repo_ids == [row[0] for row in _rows(GOLDEN / "report" / "fig8_popularity.csv")[1:]]
+
+
+# --- output directory ------------------------------------------------------
+
+
+# Each committed golden directory and the arguments that reproduce it on the tiny fixture.
+STAGE_GOLDENS = {
+    "summary": ["summary"],
+    "summary_structured": ["summary", "--format", "structured"],
+    "classify": ["classify"],
+    "simulate": ["simulate"],
+    "community": ["community"],
+    "expertise": ["expertise"],
+    "correlate": ["correlate"],
+    "sentiment": ["sentiment"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(STAGE_GOLDENS))
+def test_stage_command_matches_committed_golden(tiny_path, tmp_path, golden):
+    command, *extra = STAGE_GOLDENS[golden]
+    out = tmp_path / golden
+    assert main([command, "--in", tiny_path, "--out", str(out), *extra]) == 0
+    want = sorted(os.listdir(GOLDEN / golden))
+    assert sorted(os.listdir(out)) == sorted(want + ["manifest.json"])
+    for name in want:
+        got = (out / name).read_bytes()
+        assert got == (GOLDEN / golden / name).read_bytes(), f"{name} diverged from the committed reference output"
+
+
+@pytest.mark.parametrize("command", ["report", "summary"])
+def test_out_directory_takes_the_umask_mode(tiny_path, tmp_path, command):
+    old = os.umask(0o022)
+    try:
+        assert main([command, "--in", tiny_path, "--out", str(tmp_path / "out")]) == 0
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out").stat().st_mode & 0o777 == 0o755
+
+
+def _contents(directory) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in Path(directory).iterdir()}
+
+
+def test_failed_forced_run_keeps_the_previous_out(tiny_path, tmp_path, monkeypatch):
+    out = tmp_path / "report"
+    assert _run_report(tiny_path, out) == 0
+    before = _contents(out)
+
+    def failing(corpus):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(analytics, "popularity_vs_comments", failing)
+    assert _run_report(tiny_path, out, "--force") == 1
+    assert _contents(out) == before
+    assert os.listdir(tmp_path) == ["report"]
+
+
+@pytest.mark.parametrize("command", ["report", "summary"])
+def test_forced_run_into_the_working_directory_deletes_nothing(tiny_path, tmp_path, monkeypatch, command):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    (cwd / "keep.txt").write_text("keep me\n")
+    monkeypatch.chdir(cwd)
+    assert main([command, "--in", tiny_path, "--out", ".", "--force"]) == 1
+    assert os.listdir(cwd) == ["keep.txt"]
+    assert os.listdir(tmp_path) == ["cwd"]
+
+
+def test_forced_run_replaces_only_a_directory(tiny_path, tmp_path):
+    (tmp_path / "real").mkdir()
+    (tmp_path / "link").symlink_to("real")
+    (tmp_path / "file").write_text("keep me\n")
+    for name in ("file", "link"):
+        assert _run_report(tiny_path, tmp_path / name, "--force") == 1
+    assert sorted(os.listdir(tmp_path)) == ["file", "link", "real"]
+    assert (tmp_path / "file").read_text() == "keep me\n"
+    assert os.readlink(tmp_path / "link") == "real" and os.listdir(tmp_path / "real") == []
+
+
+def test_second_command_into_one_out_is_refused_unless_forced(capsys, tiny_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--in", tiny_path, "--out", str(out)]) == 0
+    first = _contents(out)
+    assert main(["summary", "--in", tiny_path, "--out", str(out)]) == 1
+    assert "exists" in capsys.readouterr().err
+    assert _contents(out) == first
+    assert main(["summary", "--in", tiny_path, "--out", str(out), "--force"]) == 0
+    assert sorted(os.listdir(out)) == ["manifest.json", "table1.csv"]
+    assert _manifest(out)["subcommand"] == "summary"
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_stage_failure_after_the_load_leaves_no_out(capsys, tiny_path, tmp_path, monkeypatch):
+    def failing(repo):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sentiment, "repo_sentiment", failing)
+    assert main(["sentiment", "--in", tiny_path, "--out", str(tmp_path / "out")]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_exported_graphs_arrive_with_the_tables(tiny_path, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    real = community.export_graph
+    seen = []
+
+    def watched(graph, directory):
+        seen.append(out.exists())
+        return real(graph, directory)
+
+    monkeypatch.setattr(community, "export_graph", watched)
+    assert main(["community", "--in", tiny_path, "--out", str(out), "--export-graphs"]) == 0
+    assert seen == [False] * 3
+    assert sorted(os.listdir(out)) == ["community.csv", "graphs", "manifest.json"]
+    assert sorted(os.listdir(out / "graphs")) == sorted(EXPORTED_GRAPHS)
+
+    calls = []
+
+    def failing_second(graph, directory):
+        calls.append(graph)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return real(graph, directory)
+
+    monkeypatch.setattr(community, "export_graph", failing_second)
+    retry = tmp_path / "retry"
+    assert main(["community", "--in", tiny_path, "--out", str(retry), "--export-graphs"]) == 1
+    assert os.listdir(tmp_path) == ["out"]
+
+
 # --- console entry point ---------------------------------------------------
 
 
@@ -972,6 +1115,16 @@ def test_alpha_usage_error_loads_no_stage(tmp_path, command):
                                      "--alpha", "0h"])
     assert rc == 2
     assert loaded == {"cli", "models", "units"}
+
+
+@pytest.mark.parametrize("command", ["report", "simulate"])
+def test_refused_out_loads_no_stage(tmp_path, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc, loaded = _modules_loaded_by([command, "--in", str(TINY), "--out", str(out)])
+    assert rc == 1
+    assert loaded == {"cli", "models", "units"}
+    assert os.listdir(out) == []
 
 
 def test_module_invocation_matches_script(tmp_path):
