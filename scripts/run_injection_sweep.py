@@ -17,11 +17,11 @@ import csv
 import sys
 
 from ghreview.archive import load_archive
+from ghreview.cli import positive_duration
 from ghreview.models import Corpus
 from ghreview.simulator import SimConfig, simulate_corpus
 from ghreview.synthetic import lognormal_repo
-from ghreview.temporal import ALPHA_DEFAULT
-from ghreview.units import parse_duration
+from ghreview.units import ALPHA_DEFAULT
 
 
 def _sweep_corpus(args: argparse.Namespace) -> Corpus:
@@ -48,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--alpha", type=parse_duration, default=ALPHA_DEFAULT,
+        "--alpha", type=positive_duration, default=ALPHA_DEFAULT,
         help="half-width of the regular band (e.g. 6h)",
     )
     parser.add_argument("--out", help="also write the per-category rows as CSV")

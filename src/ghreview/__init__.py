@@ -18,7 +18,7 @@ _EXPORTS = {
     "archive": ("ArchiveError", "ArchiveIntegrityError", "ArchiveInvariantError",
                 "ArchiveParseError", "load_archive", "save_archive"),
     "units": ("ALPHA_DEFAULT",),
-    "temporal": ("Distribution", "GapSeries", "InsufficientDataError", "Label",
+    "temporal": ("Distribution", "InsufficientDataError", "Label",
                  "classify_gaps", "idm", "issue_gaps"),
     "simulator": ("SimConfig", "SimResult", "simulate", "simulate_corpus"),
     "community": ("IssueCommunityGraph", "ICSReport", "build_graph", "ics"),

@@ -351,7 +351,7 @@ def _classify_tables(corpus: Corpus, args: argparse.Namespace, _out: str) -> _Ou
             median = temporal.idm(gaps)
             _, dist = temporal.classify_gaps(gaps, alpha=args.alpha)
         except temporal.InsufficientDataError as exc:
-            rows.append([repo.id, repo.category.value, len(gaps.gaps), None, None, None, None, str(exc)])
+            rows.append([repo.id, repo.category.value, len(gaps), None, None, None, None, str(exc)])
             continue
         rows.append(
             [
@@ -472,7 +472,8 @@ def _duration(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_duration(text: str) -> float:
+def positive_duration(text: str) -> float:
+    """The argparse type of a duration option that must be positive (the scripts use it too)."""
     value = _duration(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"duration must be positive: {text!r}")
@@ -501,7 +502,7 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
                         help="uniform fire-time jitter half-width (default off)")
     parser.add_argument("--generative", action="store_true",
                         help="resample post-assessment gaps instead of replaying them")
-    parser.add_argument("--window", type=_positive_duration, default=parse_duration("30d"),
+    parser.add_argument("--window", type=positive_duration, default=parse_duration("30d"),
                         help="timeline aggregation window")
 
 
@@ -544,11 +545,11 @@ def build_parser() -> argparse.ArgumentParser:
     output_command("summary", _summary_tables, "per-category summary statistics")
 
     p = output_command("classify", _classify_tables, "per-repo gap classification shares")
-    p.add_argument("--alpha", type=_positive_duration, default=ALPHA_DEFAULT,
+    p.add_argument("--alpha", type=positive_duration, default=ALPHA_DEFAULT,
                    help="half-width of the regular band (e.g. 6h)")
 
     p = output_command("simulate", _simulate_tables, "notification simulation over the corpus")
-    p.add_argument("--alpha", type=_positive_duration, default=ALPHA_DEFAULT)
+    p.add_argument("--alpha", type=positive_duration, default=ALPHA_DEFAULT)
     _add_sim_flags(p)
 
     p = output_command("community", _community_tables, "issue community graphs and scores")
@@ -563,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     output_command("sentiment", _sentiment_tables, "per-repo mean comment sentiment")
 
     p = output_command("report", _report_tables, "full pipeline: all table and figure files")
-    p.add_argument("--alpha", type=_positive_duration, default=ALPHA_DEFAULT)
+    p.add_argument("--alpha", type=positive_duration, default=ALPHA_DEFAULT)
     _add_sim_flags(p)
 
     return parser

@@ -564,9 +564,11 @@ def fetch_corpus(
 ) -> Corpus:
     """Fetch every planned target, upserting into an existing corpus.
 
-    Repositories replace any same-id predecessor; users merge by login.
-    Rerunning after an interruption therefore converges to the result of
-    an uninterrupted run.
+    Repositories replace any same-id predecessor; users merge by login,
+    the last fetch winning, and every user reference in the result (kept
+    ``base_corpus`` repositories included, changed in place) is the
+    ``users`` entry for its login.  Rerunning after an interruption
+    therefore converges to the result of an uninterrupted run.
     """
     client = client or GitHubClient(plan)
     slugs = list(plan.targets)
@@ -580,10 +582,24 @@ def fetch_corpus(
         repo, seen = fetch_repository(slug, plan, client)
         repos[repo.id] = repo
         users.update(seen)
+    # keyed by each winner's own login string, in login order, as a saved archive holds them
+    users = {u.login: u for _, u in sorted(users.items())}
+    for repo in repos.values():
+        _share_users(repo, users)
     meta = dict(base_corpus.meta) if base_corpus else {}
     meta.setdefault("snapshot_at", time.time())
-    return Corpus(
-        repos=sorted(repos.values(), key=lambda r: r.id),
-        users=dict(sorted(users.items())),  # in login order, as a saved archive holds them
-        meta=meta,
-    )
+    return Corpus(repos=sorted(repos.values(), key=lambda r: r.id), users=users, meta=meta)
+
+
+def _share_users(repo: Repository, users: dict[str, User]) -> None:
+    """Point every user reference in ``repo`` at the ``users`` entry for its login."""
+    repo.owner = users[repo.owner.login]
+    repo.contributors = tuple(users[u.login] for u in repo.contributors)
+    for issue in repo.issues:
+        issue.opener = users[issue.opener.login]
+        if issue.closer is not None:
+            issue.closer = users[issue.closer.login]
+        for comment in issue.comments:
+            comment.author = users[comment.author.login]
+    for commit in repo.commits:
+        commit.author = users[commit.author.login]

@@ -23,15 +23,14 @@ from functools import cached_property
 
 from .models import Corpus, Repository
 from .temporal import (
-    ALPHA_DEFAULT,
     Distribution,
-    band_bounds,
     classify_gaps,
-    distribution_of_counts,
     gaps_from_times,
+    median_of_sorted,
+    split_sorted,
     timeline_from_times,
 )
-from .units import DAY, MONTH, YEAR
+from .units import ALPHA_DEFAULT, DAY, MONTH, YEAR
 
 __all__ = [
     "SimConfig",
@@ -157,14 +156,6 @@ class SimResult:
         return tuple(sink)
 
 
-def _median_of_sorted(xs: list[float]) -> float | None:
-    n = len(xs)
-    if n == 0:
-        return None
-    mid = n >> 1
-    return xs[mid] if n & 1 else 0.5 * (xs[mid - 1] + xs[mid])
-
-
 def _generative_times(
     gaps: list[float], t: float, iap_end: float, horizon_end: float, rng: random.Random
 ) -> list[float]:
@@ -225,10 +216,10 @@ def _notify(
         for k, t in enumerate(merged):
             if k and t - merged[k - 1] > 0:
                 bisect.insort(seen, t - merged[k - 1])
-            sink.append(SimEvent(t, EventKind.REAL_ISSUE, _median_of_sorted(seen)))
+            sink.append(SimEvent(t, EventKind.REAL_ISSUE, median_of_sorted(seen)))
 
     gaps = list(before.iap_gaps)  # a copy: every run starts from the shared seed
-    idm = _median_of_sorted(gaps)
+    idm = median_of_sorted(gaps)
     iap_end, horizon_end = before.iap_end, before.horizon_end
     ap, jitter, max_events = config.acceptance_probability, config.jitter, config.max_events
     rng = random.Random(f"{config.seed}:{before.repo_id}")
@@ -276,6 +267,7 @@ def _notify(
         merged.append(base)
         if d > 0:
             insort(gaps, d)
+            # median_of_sorted(gaps), inlined for the per-event hot path
             n = len(gaps)
             mid = n >> 1
             idm = gaps[mid] if n & 1 else 0.5 * (gaps[mid - 1] + gaps[mid])
@@ -283,14 +275,6 @@ def _notify(
             sink.append(SimEvent(base, kind, idm))
 
     return merged, injected_at, idm, n_fires, gaps
-
-
-def _split(ordered: list[float], n: int, median: float, alpha: float) -> Distribution:
-    """``classify_gaps``'s split of ``n`` gaps against ``median``, given them sorted
-    in ``ordered``, which may leave out zero gaps: those are Dense."""
-    zeros = bisect.bisect_right(ordered, 0.0)
-    i, j = band_bounds(ordered, median - alpha, median + alpha, zeros)
-    return distribution_of_counts(n, n - len(ordered) + i, len(ordered) - j)
 
 
 def simulate(repo: Repository, config: SimConfig, *, _before: _Before | None = None) -> SimResult:
@@ -309,12 +293,12 @@ def simulate(repo: Repository, config: SimConfig, *, _before: _Before | None = N
     merged, injected_at, final_idm, n_fires, gaps = _notify(before, config)
     # merged is in time order and final_idm is the median of its positive gaps,
     # so the split is classify_gaps's over merged's gaps
-    after = _split(gaps, len(merged) - 1, final_idm, config.alpha)
+    after = split_sorted(gaps, len(merged) - 1, final_idm, config.alpha)
 
     injected_only = None
     if injected_at:  # the gap ending at merged[k] is the injection's
         injected = sorted([merged[k] - merged[k - 1] for k in injected_at])
-        injected_only = _split(injected, len(injected), final_idm, config.alpha)
+        injected_only = split_sorted(injected, len(injected), final_idm, config.alpha)
 
     return SimResult(
         repo_id=repo.id,

@@ -1,20 +1,24 @@
 """Inter-issue gap extraction and the Dense/Regular/Dispersed classifier.
 
 Each consecutive pair of issue-opening events yields one gap.  The gap
-distribution's median (of positive durations) is the reference point: a gap
-inside [median - alpha, median + alpha] is Regular, below the band Dense,
-above it Dispersed.  Alpha defaults to six hours.
+distribution's median (of positive durations, the IDM) is the reference
+point: a gap inside [median - alpha, median + alpha] is Regular, below the
+band Dense, above it Dispersed.  Alpha defaults to six hours.
 
 Zero-duration gaps (two issues opened at the same second) are kept in the
 series and always labeled Dense, but are excluded from the median so burst
 activity cannot degenerate it.
+
+The rule is defined here once, and ``simulator`` applies it through these
+functions: ``median_of_sorted`` is the one median (``idm``, the timeline
+and the notifier use it), ``classify_duration`` the one band, and
+``split_sorted`` the same band counted over sorted gaps by bisection.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
-import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,21 +37,6 @@ class Label(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class Gap:
-    start: float  # opening time of the earlier issue
-    duration: float  # seconds until the next opening; 0 allowed for ties
-
-
-@dataclass
-class GapSeries:
-    repo_id: str
-    gaps: list[Gap]
-
-    def durations(self) -> list[float]:
-        return [g.duration for g in self.gaps]
-
-
-@dataclass(frozen=True)
 class Distribution:
     dense_pct: float
     regular_pct: float
@@ -61,43 +50,34 @@ def gaps_from_times(times: Sequence[float]) -> list[float]:
     return [b - a for a, b in zip(ordered, ordered[1:])]
 
 
-def issue_gaps(repo: Repository) -> GapSeries:
-    issues = repo.issues_by_time()
-    gaps = [
-        Gap(start=a.created_at, duration=b.created_at - a.created_at)
-        for a, b in zip(issues, issues[1:])
-    ]
-    return GapSeries(repo_id=repo.id, gaps=gaps)
+def issue_gaps(repo: Repository) -> list[float]:
+    """The gaps between successive issue openings of ``repo``, in opening order."""
+    return gaps_from_times([i.created_at for i in repo.issues])
 
 
-def median_positive(durations: Sequence[float]) -> float:
-    """Median of the positive durations; even counts average the two central values."""
-    positive = [d for d in durations if d > 0]
-    if not positive:
+def median_of_sorted(xs: Sequence[float]) -> float | None:
+    """Median of sorted ``xs``, None if empty; even counts average the two central values."""
+    n = len(xs)
+    if n == 0:
+        return None
+    mid = n >> 1
+    return xs[mid] if n & 1 else 0.5 * (xs[mid - 1] + xs[mid])
+
+
+def idm(gaps: Sequence[float]) -> float:
+    """The median inter-issue distance of a series: the median of its positive gaps, in seconds."""
+    median = median_of_sorted(sorted(d for d in gaps if d > 0))
+    if median is None:
         raise InsufficientDataError("no positive-duration gaps")
-    return statistics.median(positive)
-
-
-def idm(gaps: GapSeries | Sequence[float]) -> float:
-    """The median inter-issue distance of a series, in seconds."""
-    durations = gaps.durations() if isinstance(gaps, GapSeries) else gaps
-    return median_positive(durations)
+    return median
 
 
 def classify_duration(duration: float, median: float, alpha: float) -> Label:
-    if duration == 0:
-        return Label.DENSE
-    if duration < median - alpha:
+    if duration == 0 or duration < median - alpha:
         return Label.DENSE
     if duration > median + alpha:
         return Label.DISPERSED
     return Label.REGULAR
-
-
-def distribution_of(labels: Sequence[Label]) -> Distribution:
-    return distribution_of_counts(
-        len(labels), labels.count(Label.DENSE), labels.count(Label.DISPERSED)
-    )
 
 
 def distribution_of_counts(n: int, dense: int, dispersed: int) -> Distribution:
@@ -119,17 +99,21 @@ def band_bounds(ordered: Sequence[float], lo: float, hi: float, start: int = 0) 
     return i, (bisect.bisect_right(ordered, hi, i) if lo <= hi else i)
 
 
-def classify_gaps(
-    gaps: GapSeries | Sequence[float], alpha: float = ALPHA_DEFAULT
-) -> tuple[list[Label], Distribution]:
-    """Label every gap against the series' own median and summarize the split."""
-    durations = gaps.durations() if isinstance(gaps, GapSeries) else list(gaps)
-    median = median_positive(durations)  # raises on empty/all-zero series
-    lo, hi = median - alpha, median + alpha
-    dense, regular, dispersed = Label.DENSE, Label.REGULAR, Label.DISPERSED
-    # classify_duration's comparisons, made inline
-    labels = [dense if d == 0 or d < lo else dispersed if d > hi else regular for d in durations]
-    return labels, distribution_of(labels)
+def split_sorted(ordered: Sequence[float], n: int, median: float, alpha: float) -> Distribution:
+    """``classify_gaps``'s split of ``n`` gaps against ``median``, given them sorted
+    in ``ordered``, which may leave out zero gaps: those are Dense."""
+    zeros = bisect.bisect_right(ordered, 0.0)
+    i, j = band_bounds(ordered, median - alpha, median + alpha, zeros)
+    return distribution_of_counts(n, n - len(ordered) + i, len(ordered) - j)
+
+
+def classify_gaps(gaps: Sequence[float], alpha: float = ALPHA_DEFAULT) -> tuple[list[Label], Distribution]:
+    """Label every gap against the series' own IDM and summarize the split."""
+    median = idm(gaps)  # raises on empty/all-zero series
+    labels = [classify_duration(d, median, alpha) for d in gaps]
+    return labels, distribution_of_counts(
+        len(labels), labels.count(Label.DENSE), labels.count(Label.DISPERSED)
+    )
 
 
 @dataclass(frozen=True)
@@ -192,10 +176,8 @@ def timeline_from_times(
         positive += in_window[z:]
         positive.sort()  # one merge of two sorted runs
         regular = 0
-        m = len(positive)
-        if m:
-            mid = m >> 1
-            median = positive[mid] if m & 1 else 0.5 * (positive[mid - 1] + positive[mid])
+        median = median_of_sorted(positive)
+        if median is not None:
             first, end = band_bounds(in_window, median - alpha, median + alpha, z)
             regular = end - first
         points.append(

@@ -119,6 +119,16 @@ def test_fetched_names_are_shared(cold_widgets, assert_names_shared):
     assert_names_shared([repo], users)
 
 
+def test_fetched_corpus_shares_one_user_per_login(tmp_path, assert_names_shared):
+    with fixture_server() as (_, base_url):
+        corpus = fetch_corpus(_plan(base_url, targets=(WIDGETS, TOOLS)))
+        assert_names_shared(corpus.repos, corpus.users)
+        # a kept base-corpus repository is pointed at the merged users too
+        merged = fetch_corpus(_plan(base_url, targets=(WIDGETS,)), base_corpus=corpus)
+    assert [r.id for r in merged.repos] == [TOOLS, WIDGETS]
+    assert_names_shared(merged.repos, merged.users)
+
+
 def test_request_count_is_exactly_one_per_page(cold_widgets):
     _, _, (requests, full, not_modified) = cold_widgets
     assert full == WIDGETS_REQUESTS

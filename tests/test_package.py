@@ -20,7 +20,7 @@ PUBLIC = {
     "archive": ["ArchiveError", "ArchiveIntegrityError", "ArchiveInvariantError",
                 "ArchiveParseError", "load_archive", "save_archive"],
     "units": ["ALPHA_DEFAULT"],
-    "temporal": ["Distribution", "GapSeries", "InsufficientDataError", "Label",
+    "temporal": ["Distribution", "InsufficientDataError", "Label",
                  "classify_gaps", "idm", "issue_gaps"],
     "simulator": ["SimConfig", "SimResult", "simulate", "simulate_corpus"],
     "community": ["IssueCommunityGraph", "ICSReport", "build_graph", "ics"],
@@ -52,7 +52,7 @@ def test_star_import_binds_every_public_name():
         assert namespace[name] is getattr(ghreview, name), name
 
 
-@pytest.mark.parametrize("name", ["no_such_name", "regular_fraction_timeline"])
+@pytest.mark.parametrize("name", ["no_such_name", "regular_fraction_timeline", "GapSeries"])
 def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(ghreview, name)

@@ -67,3 +67,10 @@ def test_sweep_prints_table_and_paired_trend(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0][0] == "category"
     assert len(rows) == 3  # one category, two probabilities
+
+
+def test_sweep_rejects_a_non_positive_alpha():
+    proc = _run("run_injection_sweep.py", "--n-repos", "1", "--alpha", "0")
+    assert proc.returncode == 2
+    assert "duration must be positive" in proc.stderr
+    assert "Traceback" not in proc.stderr

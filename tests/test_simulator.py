@@ -21,7 +21,13 @@ from ghreview.simulator import (
     simulate_corpus,
 )
 from ghreview.synthetic import lognormal_repo, periodic_repo, random_corpus
-from ghreview.temporal import classify_gaps, distribution_of, gaps_from_times, timeline_from_times
+from ghreview.temporal import (
+    Label,
+    classify_gaps,
+    distribution_of_counts,
+    gaps_from_times,
+    timeline_from_times,
+)
 from ghreview.units import DAY, HOUR, MONTH, YEAR
 from reference_sim import (
     reference_distribution,
@@ -31,6 +37,11 @@ from reference_sim import (
 )
 
 IAP_DAYS = 6 * MONTH / DAY  # 182.64
+
+
+def distribution_of(labels):
+    """The split of a list of labels."""
+    return distribution_of_counts(len(labels), labels.count(Label.DENSE), labels.count(Label.DISPERSED))
 
 
 def _events(result):

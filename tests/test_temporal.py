@@ -16,9 +16,9 @@ from ghreview.temporal import (
     gaps_from_times,
     idm,
     issue_gaps,
-    median_positive,
     timeline_from_times,
 )
+from ghreview.models import Category, Issue, Repository, User
 from ghreview.units import DAY, HOUR
 from reference_sim import reference_distribution, reference_timeline, sort_median_positive
 
@@ -39,9 +39,15 @@ def test_gaps_of_singleton_and_empty():
 
 def test_fixture_gap_series(tiny_corpus):
     a, b, c = tiny_corpus.repos
-    assert issue_gaps(a).durations() == [10 * DAY, 20 * DAY, 30 * DAY, 50 * DAY]
-    assert issue_gaps(b).durations() == [15 * DAY, 30 * DAY, 40 * DAY]
-    assert issue_gaps(c).durations() == [30 * DAY, 40 * DAY]
+    assert issue_gaps(a) == [10 * DAY, 20 * DAY, 30 * DAY, 50 * DAY]
+    assert issue_gaps(b) == [15 * DAY, 30 * DAY, 40 * DAY]
+    assert issue_gaps(c) == [30 * DAY, 40 * DAY]
+    # two issues opened in the same second keep their zero gap, in opening order
+    owner = User("dev0")
+    times = [BASE + 3 * DAY, BASE + DAY, BASE, BASE + DAY]
+    issues = [Issue(f"x/y#{k}", "x/y", owner, t) for k, t in enumerate(times)]
+    tied = Repository("x/y", Category.RANDOM, BASE, owner, issues=issues)
+    assert issue_gaps(tied) == [DAY, 0.0, 2 * DAY]
 
 
 # --- median ----------------------------------------------------------------
@@ -55,14 +61,14 @@ def test_fixture_idm(tiny_corpus):
 
 
 def test_median_ignores_zero_gaps():
-    assert median_positive([0.0, 0.0, 4.0, 8.0]) == 6.0
+    assert idm([0.0, 0.0, 4.0, 8.0]) == 6.0
 
 
 def test_median_requires_a_positive_gap():
     with pytest.raises(InsufficientDataError):
-        median_positive([0.0, 0.0])
+        idm([0.0, 0.0])
     with pytest.raises(InsufficientDataError):
-        median_positive([])
+        idm([])
 
 
 def test_idm_matches_sort_oracle_over_seeds():
@@ -291,7 +297,7 @@ def test_classify_gaps_matches_classify_duration_gap_by_gap():
     rng = random.Random(21)
     for _ in range(300):
         durations, alpha = _band_edge_durations(rng)
-        median = median_positive(durations)
+        median = idm(durations)
         labels, dist = classify_gaps(durations, alpha=alpha)
         assert labels == [classify_duration(d, median, alpha) for d in durations]
         edges = [label for d, label in zip(durations, labels) if d in (median - alpha, median + alpha)]
