@@ -17,7 +17,7 @@ import csv
 import sys
 
 from ghreview.archive import load_archive
-from ghreview.cli import positive_duration
+from ghreview.cli import positive_duration, probability
 from ghreview.models import Corpus
 from ghreview.simulator import SimConfig, simulate_corpus
 from ghreview.synthetic import lognormal_repo
@@ -43,7 +43,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--n-repos", type=int, default=50, help="synthetic corpus size")
     parser.add_argument(
-        "--ap", type=float, nargs="+", default=[0.3, 0.6, 0.9],
+        "--ap", type=probability, nargs="+", default=[0.3, 0.6, 0.9],
         help="acceptance probabilities to sweep",
     )
     parser.add_argument("--seed", type=int, default=0)

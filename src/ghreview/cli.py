@@ -17,6 +17,7 @@ import gc
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import random
 import shutil
@@ -467,9 +468,12 @@ def _report_tables(corpus: Corpus, args: argparse.Namespace, out: str) -> _Outpu
 
 def _duration(text: str) -> float:
     try:
-        return parse_duration(text)
+        value = parse_duration(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if value == math.inf:  # a few hundred digits overflow the float
+        raise argparse.ArgumentTypeError(f"duration must be finite: {text!r}")
+    return value
 
 
 def positive_duration(text: str) -> float:
@@ -477,6 +481,28 @@ def positive_duration(text: str) -> float:
     value = _duration(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"duration must be positive: {text!r}")
+    return value
+
+
+def probability(text: str) -> float:
+    """The argparse type of an acceptance probability, a number in [0, 1] (the scripts use it too)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= value <= 1.0:  # NaN fails this too
+        raise argparse.ArgumentTypeError(f"probability must lie in [0, 1]: {text!r}")
+    return value
+
+
+def _iap_issue_count(text: str) -> int:
+    """The argparse type of ``--min-iap-issues``: two issues make the one gap a median needs."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 issues (one gap): {text!r}")
     return value
 
 
@@ -491,13 +517,13 @@ def _add_common(parser: argparse.ArgumentParser, needs_out: bool = True) -> None
 
 
 def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ap", type=float, nargs="+", default=[0.3, 0.6, 0.9],
+    parser.add_argument("--ap", type=probability, nargs="+", default=[0.3, 0.6, 0.9],
                         help="acceptance probabilities to simulate")
-    parser.add_argument("--iap", type=_duration, default=6 * MONTH,
+    parser.add_argument("--iap", type=positive_duration, default=6 * MONTH,
                         help="initial assessment period (e.g. 6mo)")
     parser.add_argument("--horizon", type=_duration, default=3 * YEAR,
-                        help="total simulated span (e.g. 3y)")
-    parser.add_argument("--min-iap-issues", type=int, default=3)
+                        help="total simulated span (e.g. 3y), longer than --iap")
+    parser.add_argument("--min-iap-issues", type=_iap_issue_count, default=3)
     parser.add_argument("--jitter", type=_duration, default=0.0,
                         help="uniform fire-time jitter half-width (default off)")
     parser.add_argument("--generative", action="store_true",
@@ -573,6 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "horizon") and not args.horizon > args.iap:
+        parser.error(f"{args.subcommand}: --horizon must exceed --iap")
     frozen = gc.get_freeze_count()
     try:
         return args.func(args)

@@ -7,7 +7,9 @@ Design notes, all load-bearing for the tests:
   budget.  With a cache directory the cache is also written to
   ``etag_cache.json``, once per repository (and once per topic search),
   when that fetch ends or fails; a run whose every response was a 304
-  writes nothing.  Exceptions and interrupts still write every page
+  writes nothing.  The file is written one entry at a time, so a write
+  holds about one entry's text, not the whole file's; its bytes are those
+  of ``json.dumps`` of the cache.  Exceptions and interrupts still write every page
   fetched so far; a process killed outright loses the pages of the
   repository in flight, which the next run fetches again.
 - Requests go out over stdlib ``http.client`` on keep-alive connections
@@ -225,8 +227,16 @@ class GitHubClient:
         with self._lock:
             if self._cache_path is None or not self._dirty:
                 return
+            # Entry by entry, each through the C encoder: one dumps of the whole
+            # dict would hold several times the file's size at once.  The
+            # separators are json.dumps's, so the bytes are the same.
             with _atomic_write(self._cache_path) as fh:
-                fh.write(json.dumps(self._cache))  # one call: the C encoder, not json.dump's chunks
+                fh.write("{")
+                sep = ""
+                for key, entry in self._cache.items():
+                    fh.write(f"{sep}{json.dumps(key)}: {json.dumps(entry)}")
+                    sep = ", "
+                fh.write("}")
             self._dirty = False
 
     def close(self) -> None:

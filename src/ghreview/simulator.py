@@ -132,20 +132,25 @@ class _Before:
 
 @dataclass(frozen=True)
 class SimResult:
-    """One repository's run under one config.  The event log is replayed when
-    first read: the RNG is keyed by seed and repo id, so the replay is exact."""
+    """One repository's run under one config.
+
+    The event log and the injected times are replayed when first read: the
+    RNG is keyed by seed and repo id, so the replay is exact.  So a sweep
+    holds no per-run issue times; ``n_injected`` counts the injections
+    without a replay.
+    """
 
     repo_id: str
     config: SimConfig
     excluded: bool
     exclusion_reason: str | None
     real_times: tuple[float, ...] = ()
-    injected_times: tuple[float, ...] = ()
     before: Distribution | None = None
     after: Distribution | None = None
     injected_only: Distribution | None = None
     final_idm: float | None = None
-    n_fires: int = 0  # notifications fired; len(injected_times) of them were accepted
+    n_fires: int = 0  # notifications fired; n_injected of them were accepted
+    n_injected: int = 0
     _before: _Before | None = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -154,6 +159,13 @@ class SimResult:
         if self._before is not None:
             _notify(self._before, self.config, sink)
         return tuple(sink)
+
+    @cached_property
+    def injected_times(self) -> tuple[float, ...]:
+        if self._before is None:
+            return ()
+        merged, injected_at, *_ = _notify(self._before, self.config)
+        return tuple(merged[k] for k in injected_at)
 
 
 def _generative_times(
@@ -197,20 +209,21 @@ def _before_side(repo: Repository, config: SimConfig) -> _Before:
 
 
 def _notify(
-    before: _Before, config: SimConfig, sink: list[SimEvent] | None = None
+    before: _Before, config: SimConfig, sink: list[SimEvent] | None = None, merged: list[float] | None = None
 ) -> tuple[list[float], list[int], float, int, list[float]]:
     """Run the notifier over one repository, appending its events to ``sink`` if given.
 
     Returns every issue time, real and injected, in the order the loop met
-    them (time order), the positions of the injected ones in that list, the
-    final median, the number of fires, and the sorted positive gaps of the
-    issue times, whose median the final one is.  ``before`` is read, never
-    changed.
+    them (time order), appended to ``merged`` if given (empty) or else to a
+    new list; the positions of the injected ones in that list; the final
+    median; the number of fires; and the sorted positive gaps of the issue
+    times, whose median the final one is.  ``before`` is read, never changed.
     """
     real = before.real_times
     n_real = len(real)
     i = before.n_iap
-    merged = list(real[:i])
+    merged = [] if merged is None else merged
+    merged += real[:i]
     if sink is not None:
         seen: list[float] = []
         for k, t in enumerate(merged):
@@ -277,20 +290,24 @@ def _notify(
     return merged, injected_at, idm, n_fires, gaps
 
 
-def simulate(repo: Repository, config: SimConfig, *, _before: _Before | None = None) -> SimResult:
+def simulate(
+    repo: Repository, config: SimConfig, *, _before: _Before | None = None, _times: list[float] | None = None
+) -> SimResult:
     """Replay one repository under the notification mechanism.
 
     Repositories with fewer than min_iap_issues issues inside the IAP are
     returned excluded rather than failing, mirroring the corpus-cleaning
     rule that sparse early activity is noise.  ``simulate_corpus`` passes
-    the before side it shares between acceptance probabilities.
+    the before side it shares between acceptance probabilities, and an
+    empty list ``_times`` that receives the run's issue times, real and
+    injected, in time order, for its after-side Fig 6 series.
     """
     before = _before if _before is not None else _before_side(repo, config)
     if before.exclusion is not None:
         return SimResult(
             repo_id=repo.id, config=config, excluded=True, exclusion_reason=before.exclusion
         )
-    merged, injected_at, final_idm, n_fires, gaps = _notify(before, config)
+    merged, injected_at, final_idm, n_fires, gaps = _notify(before, config, merged=_times)
     # merged is in time order and final_idm is the median of its positive gaps,
     # so the split is classify_gaps's over merged's gaps
     after = split_sorted(gaps, len(merged) - 1, final_idm, config.alpha)
@@ -306,12 +323,12 @@ def simulate(repo: Repository, config: SimConfig, *, _before: _Before | None = N
         excluded=False,
         exclusion_reason=None,
         real_times=before.real_times,
-        injected_times=tuple(merged[k] for k in injected_at),
         before=before.distribution,
         after=after,
         injected_only=injected_only,
         final_idm=final_idm,
         n_fires=n_fires,
+        n_injected=len(injected_at),
         _before=before,
     )
 
@@ -402,6 +419,8 @@ def simulate_corpus(
     timelines: list[TimelineRow] = []
     warnings: list[str] = []
     results: dict[tuple[str, float], tuple[SimResult, ...]] = {}
+    if not timeline_window > 0:  # checked before any run, as timeline_from_times would
+        raise ValueError(f"window must be positive, got {timeline_window}")
     if not corpus.repos:
         warnings.append("empty corpus: nothing to simulate")
     for category in corpus.categories():
@@ -415,8 +434,17 @@ def simulate_corpus(
             if key not in shared:
                 shared[key] = _shared_before(repos, config, timeline_window)
             sides, before_means = shared[key]
-            sims = tuple(simulate(repo, config, _before=side) for repo, side in zip(repos, sides))
-            results[(category.value, ap)] = sims
+            sims: list[SimResult] = []
+            after_by_idx: dict[int, list[float]] = {}
+            for repo, side in zip(repos, sides):
+                # one run's issue times at a time: the result keeps none of them
+                times: list[float] = []
+                sim = simulate(repo, config, _before=side, _times=times)
+                sims.append(sim)
+                if not sim.excluded:
+                    for idx, point in enumerate(timeline_from_times(times, timeline_window, config.alpha)):
+                        after_by_idx.setdefault(idx, []).append(point.regular_pct)
+            results[(category.value, ap)] = tuple(sims)
             kept = [s for s in sims if not s.excluded]
             n_excluded = len(sims) - len(kept)
             if not kept:
@@ -444,12 +472,6 @@ def simulate_corpus(
                     n_excluded=n_excluded,
                 )
             )
-            after_by_idx: dict[int, list[float]] = {}
-            for sim in kept:
-                # the timeline orders the times itself, merging the two sorted runs
-                merged = sim.real_times + sim.injected_times
-                for idx, point in enumerate(timeline_from_times(merged, timeline_window, config.alpha)):
-                    after_by_idx.setdefault(idx, []).append(point.regular_pct)
             for idx in sorted(after_by_idx):
                 after_vals = after_by_idx[idx]
                 timelines.append(

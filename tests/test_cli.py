@@ -212,9 +212,11 @@ def test_simulate_ap_zero_identity(tiny_path, out_dir):
 
 
 def test_simulate_rejects_out_of_range_probability(capsys, tiny_path, out_dir):
-    rc = main(["simulate", "--in", tiny_path, "--out", out_dir, "--ap", "1.5"])
-    assert rc == 1
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--in", tiny_path, "--out", out_dir, "--ap", "1.5"])
+    assert err.value.code == 2
     assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
 
 
 # --- community -------------------------------------------------------------
@@ -1115,6 +1117,28 @@ def test_alpha_usage_error_loads_no_stage(tmp_path, command):
                                      "--alpha", "0h"])
     assert rc == 2
     assert loaded == {"cli", "models", "units"}
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--ap", "1.5"],
+        ["--ap", "0.3", "nan"],
+        ["--ap", "1e400"],
+        ["--iap", "0"],
+        ["--horizon", "1d"],  # not above the default 6mo --iap
+        ["--iap", "2y", "--horizon", "2y"],
+        ["--horizon", "9" * 400],  # overflows to an infinite duration
+        ["--min-iap-issues", "1"],
+    ],
+)
+def test_simulation_flag_usage_error_loads_no_stage(tmp_path, command, flags):
+    out = tmp_path / "out"
+    rc, loaded = _modules_loaded_by([command, "--in", str(TINY), "--out", str(out), *flags])
+    assert rc == 2
+    assert loaded == {"cli", "models", "units"}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["report", "simulate"])

@@ -303,6 +303,44 @@ def test_failed_cache_write_keeps_previous_cache(tmp_path, monkeypatch):
     assert [p.name for p in cache_dir.iterdir()] == ["etag_cache.json"]
 
 
+def _etag_cache(n_entries: int) -> dict[str, dict]:
+    """A cache of ``n_entries`` issue pages, with non-ASCII text and every JSON type."""
+    return {
+        f"https://api.example/repos/o/r/issues?page={n}&per_page=100": {
+            "etag": f'W/"{n:040x}"',
+            "body": [
+                {"number": 100 * n + k, "title": f"fix \u00e9t\u00e9 #{k} \u2014 \"q\"\n",
+                 "closed_at": None, "locked": k % 2 == 0, "score": k / 7}
+                for k in range(20)
+            ],
+            "next": None if n == n_entries - 1 else f"https://api.example/next?page={n + 1}",
+        }
+        for n in range(n_entries)
+    }
+
+
+def test_cache_file_is_the_json_dump_of_the_cache_written_entry_by_entry(tmp_path):
+    import tracemalloc
+
+    for n_entries in (0, 1, 200):
+        cache_dir = tmp_path / f"cache{n_entries}"
+        cache_dir.mkdir()
+        expected = json.dumps(_etag_cache(n_entries))
+        (cache_dir / "etag_cache.json").write_text(expected, encoding="utf-8")
+        client = GitHubClient(FetchPlan(cache_dir=str(cache_dir)))
+        client._dirty = True  # as if a response had been stored since the load
+        tracemalloc.start()
+        try:
+            client.persist_cache()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        written = (cache_dir / "etag_cache.json").read_bytes()
+        assert written == expected.encode("utf-8")
+        # one dumps of the whole dict holds several times the file's size at once
+        assert n_entries < 200 or peak < len(written) / 4
+
+
 @pytest.mark.parametrize(
     "fetch",
     [

@@ -74,3 +74,10 @@ def test_sweep_rejects_a_non_positive_alpha():
     assert proc.returncode == 2
     assert "duration must be positive" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_sweep_rejects_an_acceptance_probability_outside_zero_to_one():
+    proc = _run("run_injection_sweep.py", "--n-repos", "1", "--ap", "0.3", "1.5")
+    assert proc.returncode == 2
+    assert "probability must lie in [0, 1]" in proc.stderr
+    assert "Traceback" not in proc.stderr

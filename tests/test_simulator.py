@@ -387,6 +387,52 @@ def test_simulate_corpus_empty_corpus_warns():
     assert any("empty corpus" in w for w in table.warnings)
 
 
+@pytest.mark.parametrize("window", [0.0, -1.0, math.nan])
+def test_sweep_checks_the_timeline_window_before_any_run(window, monkeypatch):
+    from ghreview.models import Corpus
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before the window was checked")
+
+    monkeypatch.setattr(simulator, "simulate", no_run)
+    all_excluded = Corpus(repos=[periodic_repo("b/thin", n_issues=2)], users={})
+    for corpus in (Corpus(), all_excluded, _three_category_corpus()):
+        with pytest.raises(ValueError, match="window must be positive"):
+            simulate_corpus(corpus, [SimConfig(acceptance_probability=0.5)], timeline_window=window)
+
+
+def test_sweep_holds_no_memory_per_injection():
+    import tracemalloc
+
+    from ghreview.models import Corpus
+
+    # hourly openings seed a one-hour median; with every fire accepted the
+    # notifier then injects an issue an hour until the three-year horizon
+    corpus = Corpus(
+        repos=[periodic_repo(f"m/hourly{k}", period=HOUR, n_issues=48) for k in range(4)], users={}
+    )
+    # one window spans the horizon, so both tables hold the same timeline rows
+    window = 4 * YEAR
+    # lazily built per-repo state is made here, outside the comparison
+    simulate_corpus(corpus, [SimConfig(acceptance_probability=0.0, iap=DAY)], timeline_window=window)
+
+    def held_by_sweep(ap):
+        tracemalloc.start()
+        try:
+            table = simulate_corpus(
+                corpus, [SimConfig(acceptance_probability=ap, iap=DAY)], timeline_window=window
+            )
+            return table, tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    _, idle_bytes = held_by_sweep(0.0)
+    busy, busy_bytes = held_by_sweep(1.0)
+    # at AP 1 every fire is accepted, so the fires count the injections
+    assert sum(s.n_fires for s in busy.results[("Random", 1.0)]) >= 100_000
+    assert abs(busy_bytes - idle_bytes) < 64 * 1024
+
+
 def test_timeline_rows_cover_window_indexes():
     corpus = _three_category_corpus()
     table = simulate_corpus(corpus, [SimConfig(acceptance_probability=1.0, seed=0)])
@@ -507,6 +553,15 @@ def test_simulate_corpus_matches_independent_runs(mode):
                     n_excluded += sim.excluded
         assert n_excluded >= 2 * len(APS)  # the sparse and the burst repo at every AP
         assert list(table.timelines) == _naive_timelines(corpus, configs, window)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_injection_count_matches_the_replayed_times(mode):
+    configs = [SimConfig(acceptance_probability=ap, seed=4, **MODES[mode]) for ap in APS]
+    table = simulate_corpus(_sweep_corpus(4), configs)
+    sims = [sim for group in table.results.values() for sim in group]
+    assert all(sim.n_injected == len(sim.injected_times) for sim in sims)
+    assert sum(sim.n_injected for sim in sims) > 0
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -660,7 +715,7 @@ def test_sweep_timelines_match_the_window_walk_oracle(mode, monkeypatch):
     configs = [SimConfig(acceptance_probability=ap, seed=2, **MODES[mode]) for ap in APS]
     table = simulate_corpus(_sweep_corpus(5), configs, timeline_window=21 * DAY)
     after_sides = {
-        tuple(sim.real_times + sim.injected_times)
+        tuple(sorted(sim.real_times + sim.injected_times))
         for sims in table.results.values()
         for sim in sims
         if not sim.excluded
