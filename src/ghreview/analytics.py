@@ -178,7 +178,7 @@ class RepoIndex:
 
     @cached_property
     def event_metrics(self) -> dict[str, float]:
-        """``repo_metrics`` without the comment sentiment."""
+        """``metrics`` without the comment sentiment."""
         return _event_metrics(self)
 
     @cached_property
@@ -320,11 +320,6 @@ def _event_metrics(index: RepoIndex) -> dict[str, float]:
         out["lines_added_per_issue"] = math.fsum(c.lines_added for c in window_commits) / n
         out["lines_removed_per_issue"] = math.fsum(c.lines_removed for c in window_commits) / n
     return out
-
-
-def repo_metrics(repo: Repository) -> dict[str, float]:
-    """One repository's contribution to each summary field, absent keys skipped."""
-    return RepoIndex(repo).metrics()
 
 
 def _select(corpus: Corpus, category: Category | str | None) -> tuple[list[Repository], str | None]:

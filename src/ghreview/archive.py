@@ -192,9 +192,9 @@ def _dangling(line_no, record_id: str, key: str, what: str):
 
 
 def _enforce(broken: tuple, line_no, record_id: str) -> None:
-    """Raise on the first of the (field, rule) pairs a record breaks."""
+    """Raise naming every rule a record breaks, in order, each text once."""
     if broken:
-        raise ArchiveInvariantError(line_no, record_id, broken[0][1])
+        raise ArchiveInvariantError(line_no, record_id, "; ".join(dict.fromkeys(rule for _, rule in broken)))
 
 
 class _Loader:
@@ -351,10 +351,10 @@ def load_archive(path, lenient: bool = False) -> Corpus:
     """Load an archive into a fully linked corpus.
 
     Strict by default: the first malformed line, dangling reference or
-    invariant violation raises with its line number.  With ``lenient=True``
-    offending records are dropped instead and reported in
-    ``corpus.rejected``, so dropped + kept always accounts for every
-    non-blank line.
+    record breaking invariant rules raises with its line number, naming
+    every rule the record breaks.  With ``lenient=True`` offending records
+    are dropped instead and reported in ``corpus.rejected``, so dropped +
+    kept always accounts for every non-blank line.
 
     The cyclic garbage collector is paused while the corpus is built: its
     passes would re-traverse every record loaded so far, and the loader

@@ -28,7 +28,7 @@ from types import ModuleType
 from typing import NamedTuple
 
 from . import __version__
-from .models import CATEGORY_ORDER, Category, Corpus, validate
+from .models import CATEGORY_ORDER, Category, Corpus
 from .units import ALPHA_DEFAULT, HOUR, MONTH, YEAR, parse_duration
 
 
@@ -278,14 +278,12 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    violations = validate(corpus)
-    for rejection in corpus.rejected:
-        print(f"rejected line {rejection.line_no}: {rejection.reason}")
-    for violation in violations:
-        print(str(violation))
-    if violations:
-        print(f"{len(violations)} violations")
+    """List every record the loader rejects, in line order; any rejection fails unless ``--lenient``."""
+    corpus = archive.load_archive(args.input, lenient=True)
+    for rejection in sorted(corpus.rejected, key=lambda r: r.line_no):
+        print(f"rejected {rejection.reason}")
+    if corpus.rejected and not args.lenient:
+        print(f"error: {len(corpus.rejected)} records rejected", file=sys.stderr)
         return 1
     print(f"OK: {len(corpus.repos)} repositories, {len(corpus.users)} users")
     return 0

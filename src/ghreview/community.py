@@ -67,10 +67,6 @@ class IssueCommunityGraph:
     postings: dict[User, dict[str, int]]
 
     @property
-    def reviewer_nodes(self) -> tuple[str, ...]:
-        return tuple(sorted({user.login for user in self.postings}))
-
-    @property
     def e1_edges(self) -> tuple[E1Edge, ...]:
         """Reviewer-to-issue edges, ordered by (reviewer, issue)."""
         rows = sorted((u.login, issue, n) for u, reviewed in self.postings.items() for issue, n in reviewed.items())

@@ -158,8 +158,8 @@ def reviewer_postings(issues: Iterable[Issue]) -> dict[User, dict[str, int]]:
 # ---------------------------------------------------------------------------
 # One rule function per object kind returns the rules the object breaks as
 # (field, rule) pairs, or ``()`` when it breaks none.  ``load_archive``
-# rejects a record on its first broken rule; ``validate`` reports them all.
-# ``taken`` holds the ids already in use.
+# rejects a record naming every rule it breaks; ``validate``, the check for
+# a corpus built in code, reports every pair.  ``taken`` holds the ids in use.
 
 Broken = tuple[tuple[str, str], ...]
 

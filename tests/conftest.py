@@ -28,6 +28,15 @@ def tiny_corpus():
 
 
 @pytest.fixture
+def broken_core_lines() -> list[str]:
+    """The tiny fixture's lines with labA/core (line 18) breaking two rules: stargazers -1, forks -2."""
+    lines = TINY.read_text(encoding="utf-8").splitlines()
+    lines[17] = lines[17].replace('"stargazers":15,"forks":4', '"stargazers":-1,"forks":-2')
+    assert lines[17].startswith('{"kind":"repo","id":"labA/core",') and '"forks":-2' in lines[17]
+    return lines
+
+
+@pytest.fixture
 def out_dir(tmp_path) -> str:
     return str(tmp_path / "out")
 

@@ -14,6 +14,7 @@ from ghreview.analytics import (
     EmptySelectionError,
     ICS_TARGET_FEATURES,
     ISSUE_TARGET_FEATURES,
+    RepoIndex,
     SUMMARY_FIELDS,
     corpus_reference_time,
     corpus_index,
@@ -21,7 +22,6 @@ from ghreview.analytics import (
     expertise_coverage,
     pearson,
     popularity_vs_comments,
-    repo_metrics,
     repo_summary,
 )
 from ghreview.models import (
@@ -187,7 +187,7 @@ EXPECTED_METRICS = {
 
 def test_repo_metrics_against_hand_oracle(tiny_corpus):
     for repo in tiny_corpus.repos:
-        got = repo_metrics(repo)
+        got = RepoIndex(repo).metrics()
         expected = EXPECTED_METRICS[repo.id]
         assert set(got) == set(expected), repo.id
         for name, value in expected.items():
@@ -219,7 +219,7 @@ def test_summary_mean_invariant_on_random_corpus():
         if not repos:
             continue
         summary = repo_summary(corpus, category)
-        per_repo = [repo_metrics(r) for r in repos]
+        per_repo = [RepoIndex(r).metrics() for r in repos]
         for name in SUMMARY_FIELDS:
             values = [m[name] for m in per_repo if m.get(name) is not None]
             got = summary.as_dict()[name]
@@ -294,7 +294,7 @@ def _window_edge_repo() -> Repository:
 
 def test_commits_between_issues_matches_window_scan():
     repo = _window_edge_repo()
-    metrics = repo_metrics(repo)
+    metrics = RepoIndex(repo).metrics()
     # only the day-15 and day-25 commits lie strictly inside a window
     assert [c.lines_added for c in _window_scan(repo)] == [15, 25]
     assert metrics["commits_between_issues"] == 1.0
@@ -305,7 +305,7 @@ def test_commits_between_issues_matches_window_scan():
         for r in random_corpus(seed, n_repos=3).repos:
             if len(r.issues) >= 2:
                 want = len(_window_scan(r)) / (len(r.issues) - 1)
-                assert repo_metrics(r)["commits_between_issues"] == want, (seed, r.id)
+                assert RepoIndex(r).metrics()["commits_between_issues"] == want, (seed, r.id)
 
     # the correlation feature reads the same definition
     corpus = Corpus(repos=[repo] + random_corpus(7, n_repos=8).repos)
@@ -348,7 +348,7 @@ def _assert_index_matches_direct(corpus: Corpus) -> None:
         assert entry.received_comments == {i.id: received_comment_count(i) for i in repo.issues}
         assert entry.sentiment == repo_sentiment(repo), repo.id
         assert entry.ics_report == ics(build_graph(repo)), repo.id
-        direct = repo_metrics(repo)
+        direct = RepoIndex(repo).metrics()
         assert entry.metrics() == direct, repo.id
         assert entry.event_metrics == {k: v for k, v in direct.items() if k != "mean_sentiment"}
     assert index.reference_time == corpus_reference_time(corpus) == _latest_timestamp(corpus)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import random
 import tracemalloc
 
 import pytest
@@ -18,7 +19,7 @@ from ghreview.archive import (
     load_archive,
     save_archive,
 )
-from ghreview.models import Category, Rejection
+from ghreview.models import Category, Rejection, validate
 from ghreview.synthetic import random_corpus
 
 META = '{"kind":"meta","version":1}'
@@ -520,6 +521,12 @@ def test_duplicate_repo_id_raises(tmp_path):
         load_archive(path)
 
 
+def test_strict_load_names_every_rule_the_record_breaks(tmp_path, broken_core_lines):
+    with pytest.raises(ArchiveInvariantError) as exc_info:
+        load_archive(_write(tmp_path, *broken_core_lines))
+    assert str(exc_info.value) == "line 18: labA/core: stargazers must be >= 0; forks must be >= 0"
+
+
 # --- lenient mode ----------------------------------------------------------
 
 
@@ -555,6 +562,79 @@ def test_lenient_drop_cascades_to_dependents(tmp_path):
     corpus = load_archive(path, lenient=True)
     assert not corpus.repos
     assert sorted(r.line_no for r in corpus.rejected) == [4, 5]
+
+
+_ODD_VALUES = (None, True, 1.5, "1", [], {}, ["ghost"])
+
+
+def _changed(value, names: list[str], rng: random.Random):
+    """Another value of ``value``'s type: a negative count, an earlier time, a name in use."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return rng.choice((-1, -value - 1, value - 10**9))
+    if isinstance(value, list):
+        return value[:-1] + [rng.choice(names)]
+    return rng.choice(names)
+
+
+def _mutated(lines: list[str], names: list[str], rng: random.Random) -> list[str]:
+    """``lines`` after one to four seeded edits below the header: a value changed, a
+    value's type changed, a key deleted, a line truncated, dropped, duplicated or swapped."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(1, len(lines))
+        edit = rng.choice(("value", "type", "key", "truncate", "drop", "duplicate", "swap"))
+        if edit in ("value", "type", "key"):
+            try:
+                record = json.loads(lines[i])
+                key = rng.choice(sorted(record))
+            except (json.JSONDecodeError, IndexError):  # a truncated line, or a record with no key left
+                continue
+            if edit == "key":
+                del record[key]
+            elif edit == "type":
+                record[key] = rng.choice(_ODD_VALUES)
+            else:
+                record[key] = _changed(record[key], names, rng)
+            lines[i] = json.dumps(record)
+        elif edit == "truncate":
+            lines[i] = lines[i][: rng.randrange(len(lines[i]) or 1)]
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(rng.randrange(1, len(lines) + 1), lines[i])
+        else:
+            j = rng.randrange(1, len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+def test_lenient_load_keeps_what_a_strict_load_of_the_unrejected_lines_keeps(tmp_path):
+    # The archive boundary: a lenient load equals a strict load of the same file with
+    # its rejected lines removed, and keeps nothing that ``validate`` would flag.
+    corpus = random_corpus(3)
+    names = [*corpus.users, *(r.id for r in corpus.repos), *(i.id for r in corpus.repos for i in r.issues)]
+    names.append("ghost")
+    clean = tmp_path / "clean.ndjson"
+    save_archive(corpus, clean)
+    lines = clean.read_text(encoding="utf-8").splitlines()
+    kept_path, lenient_out, strict_out = (tmp_path / f"{name}.ndjson" for name in ("kept", "lenient", "strict"))
+    reasons = []
+    for trial in range(50):
+        mutated = _mutated(lines, names, random.Random(trial))
+        lenient = load_archive(_write(tmp_path, *mutated), lenient=True)
+        dropped = [r.line_no for r in lenient.rejected]
+        assert len(set(dropped)) == len(dropped), trial
+        kept_path.write_text("".join(f"{line}\n" for n, line in enumerate(mutated, start=1) if n not in dropped))
+        save_archive(lenient, lenient_out)
+        save_archive(load_archive(kept_path), strict_out)
+        assert lenient_out.read_bytes() == strict_out.read_bytes(), trial
+        assert validate(lenient) == [], trial
+        reasons += [r.reason for r in lenient.rejected]
+    # the mutations reach every kind of rejection: JSON, field type, reference and rule
+    for fragment in ("invalid JSON", "must be a", "reference to unknown", "must be >= 0", "precedes", "duplicate"):
+        assert any(fragment in reason for reason in reasons), fragment
 
 
 def test_lenient_still_requires_meta(tmp_path):

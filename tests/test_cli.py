@@ -116,6 +116,40 @@ def test_validate_lenient_reports_dropped_lines(capsys, tmp_path, tiny_path):
     assert "OK: 3 repositories, 16 users" in out
 
 
+def test_validate_reports_each_rejection_once_with_its_line(capsys, tmp_path, tiny_path):
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text(open(tiny_path).read() + '{"kind":"widget"}\n')
+    assert main(["validate", "--in", str(bad), "--lenient"]) == 0
+    assert "rejected line 83: unknown record kind: 'widget'" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+def test_validate_lists_every_rejected_record_in_line_order(capsys, tmp_path, broken_core_lines, lenient):
+    lines = [*broken_core_lines, '{"kind":"widget"}']
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("\n".join(lines) + "\n")
+    # dropping labA/core leaves its issues, their comments and its commits dangling
+    records = [json.loads(line) for line in lines]
+    dependents = [
+        line_no for line_no, record in enumerate(records, start=1)
+        if record.get("repo") == "labA/core" or str(record.get("issue", "")).startswith("labA/core#")
+    ]
+    rc = main(["validate", "--in", str(bad), *(["--lenient"] if lenient else [])])
+    out, err = capsys.readouterr()
+    rejected = [line for line in out.splitlines() if line.startswith("rejected ")]
+    assert rejected[0] == "rejected line 18: labA/core: stargazers must be >= 0; forks must be >= 0"
+    assert rejected[-1] == "rejected line 83: unknown record kind: 'widget'"
+    numbers = [int(line.split()[2].rstrip(":")) for line in rejected]
+    assert numbers == [18, *dependents, 83]
+    assert all(line.count(f"line {n}:") == 1 for line, n in zip(rejected, numbers))
+    if lenient:
+        assert rc == 0 and err == ""
+        assert out.splitlines()[-1] == "OK: 2 repositories, 16 users"
+    else:
+        assert rc == 1 and "OK" not in out
+        assert err == f"error: {len(rejected)} records rejected\n"
+
+
 # --- summary ---------------------------------------------------------------
 
 

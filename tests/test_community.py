@@ -75,7 +75,7 @@ def _brute_force_pairs(reviewer_sets: list[dict[str, int]]) -> int:
 def test_fixture_graph_b(tiny_corpus):
     graph = build_graph(tiny_corpus.repos[1])
     assert graph.issue_nodes == tuple(f"labB/rosbot#{k}" for k in (1, 2, 3, 4))
-    assert graph.reviewer_nodes == ("frank", "gina", "hank")
+    assert tuple(sorted(u.login for u in graph.postings)) == ("frank", "gina", "hank")
     e1 = {(e.reviewer, e.issue): e.weight for e in graph.e1_edges}
     assert e1 == {
         ("frank", "labB/rosbot#1"): 2,
@@ -114,7 +114,7 @@ def test_self_comments_never_form_edges():
     repo = _repo_from_sets("x/self", [{}, {}])
     graph = build_graph(repo)
     assert graph.e1_edges == () and graph.e2_edges == ()
-    assert graph.reviewer_nodes == ()
+    assert tuple(sorted(u.login for u in graph.postings)) == ()
 
 
 # --- worked score examples -------------------------------------------------
@@ -240,7 +240,7 @@ def test_e1_edges_and_reviewer_nodes_are_sorted():
     # reviewers first seen out of login order, issue ids whose string order is not numeric order
     sets = [{"zed": 1, "amy": 2}] + [{"Bob": 1}] * 8 + [{"zed": 1}, {"amy": 1, "Bob": 3}, {"zed": 2}]
     graph = build_graph(_repo_from_sets("x/o", sets))
-    assert graph.reviewer_nodes == ("Bob", "amy", "zed")
+    assert tuple(sorted(u.login for u in graph.postings)) == ("Bob", "amy", "zed")
     pairs = [(e.reviewer, e.issue) for e in graph.e1_edges]
     expected = sorted((login, f"x/o#{k + 1}") for k, counts in enumerate(sets) for login in counts)
     assert pairs == expected

@@ -105,6 +105,46 @@ def test_validate_and_loader_report_the_same_rule(tmp_path, mutate, rule):
     assert str(exc_info.value).endswith(f": {rule}")
 
 
+@pytest.mark.parametrize(
+    ("mutate", "record_id", "rules"),
+    [
+        pytest.param(
+            _set(_repo, category="Trending", stargazers=-1, forks=-2),
+            "one/repo",
+            "unknown category 'Trending'; stargazers must be >= 0; forks must be >= 0",
+            id="repo-category-and-counts",
+        ),
+        pytest.param(
+            _set(_issue, created_at=50.0, closer=User("ann", 3), closed_at=40.0),
+            "one/repo#1",
+            "closed_at must be >= created_at; issue precedes repository created_at",
+            id="issue-closed-before-opened-before-its-repo",
+        ),
+        pytest.param(
+            _set(_commit, lines_added=-1, lines_removed=-2),
+            "one/repo",
+            "line counts must be >= 0",
+            id="both-line-counts",
+        ),
+        pytest.param(
+            _set(_commit, lines_added=-1, lines_removed=-2, created_at=50.0, issue_id="one/repo#404"),
+            "one/repo",
+            "line counts must be >= 0; commit precedes repository created_at; commit links unknown issue one/repo#404",
+            id="commit-counts-time-and-link",
+        ),
+    ],
+)
+def test_loader_names_every_rule_a_record_breaks_once(tmp_path, mutate, record_id, rules):
+    corpus = _corpus()
+    mutate(corpus)
+    assert "; ".join(dict.fromkeys(v.rule for v in validate(corpus))) == rules
+    path = tmp_path / "broken.ndjson"
+    save_archive(corpus, path)
+    with pytest.raises(ArchiveInvariantError) as exc_info:
+        load_archive(path)
+    assert exc_info.value.reason == f"{record_id}: {rules}"
+
+
 def test_validate_checks_issue_links_against_the_whole_corpus(tmp_path):
     ann = User("ann", 0)
     repos = []

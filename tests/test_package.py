@@ -66,3 +66,17 @@ def test_submodule_resolves_as_a_package_attribute():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ghreview.temporal", str(ghreview.ALPHA_DEFAULT)]
+
+
+def test_every_function_the_benchmark_tracer_wraps_resolves(monkeypatch):
+    # perfbench/tracer.py wraps each TRACED (module, attribute) with a bare getattr, so a
+    # renamed or deleted function would break every traced benchmark run
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look their module up there
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{attr}" for module, attr, *_ in tracer.TRACED
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+    assert callable(importlib.import_module("ghreview.fetcher").GitHubClient.get)
