@@ -17,7 +17,7 @@ import csv
 import sys
 
 from ghreview.archive import load_archive
-from ghreview.cli import positive_duration, probability
+from ghreview.cli import positive_duration
 from ghreview.models import Corpus
 from ghreview.simulator import SimConfig, simulate_corpus
 from ghreview.synthetic import lognormal_repo
@@ -43,7 +43,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--n-repos", type=int, default=50, help="synthetic corpus size")
     parser.add_argument(
-        "--ap", type=probability, nargs="+", default=[0.3, 0.6, 0.9],
+        "--ap", type=float, nargs="+", default=[0.3, 0.6, 0.9],
         help="acceptance probabilities to sweep",
     )
     parser.add_argument("--seed", type=int, default=0)
@@ -53,12 +53,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--out", help="also write the per-category rows as CSV")
     args = parser.parse_args(argv)
+    try:  # SimConfig's rules, before the corpus is loaded or built
+        configs = [
+            SimConfig(acceptance_probability=ap, seed=args.seed, alpha=args.alpha)
+            for ap in args.ap
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
 
     corpus = _sweep_corpus(args)
-    configs = [
-        SimConfig(acceptance_probability=ap, seed=args.seed, alpha=args.alpha)
-        for ap in args.ap
-    ]
     table = simulate_corpus(corpus, configs)
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)

@@ -14,13 +14,13 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "models": ("CATEGORY_ORDER", "Category", "Comment", "Commit", "Corpus", "Issue",
-               "Repository", "User", "validate"),
+               "Repository", "SimConfig", "User", "validate"),
     "archive": ("ArchiveError", "ArchiveIntegrityError", "ArchiveInvariantError",
                 "ArchiveParseError", "load_archive", "save_archive"),
     "units": ("ALPHA_DEFAULT",),
     "temporal": ("Distribution", "InsufficientDataError", "Label",
                  "classify_gaps", "idm", "issue_gaps"),
-    "simulator": ("SimConfig", "SimResult", "simulate", "simulate_corpus"),
+    "simulator": ("SimResult", "simulate", "simulate_corpus"),
     "community": ("IssueCommunityGraph", "ICSReport", "build_graph", "ics"),
     "analytics": ("CorrelationReport", "CoverageReport", "EmptySelectionError",
                   "DegenerateSeriesError", "PearsonResult", "RepoSummary",

@@ -518,15 +518,8 @@ class CoverageReport:
     empty: bool = False
 
 
-def expertise_coverage(
-    corpus: Corpus,
-    category: Category | str | None = None,
-    repos: Sequence[Repository] | None = None,
-) -> CoverageReport:
+def expertise_coverage(corpus: Corpus, category: Category | str | None = None) -> CoverageReport:
     selection, cat_name = _select(corpus, category)
-    if repos is not None:
-        selection = list(repos)
-
     index = corpus_index(corpus)
     n_issues = 0
     postings: dict[User, list[tuple[str, str]]] = {}

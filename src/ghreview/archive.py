@@ -185,6 +185,8 @@ def _read(record: dict, kind: str, line_no, names: dict[str, str]) -> list:
 def _dangling(line_no, record_id: str, key: str, what: str):
     """Raise for a reference to a ``what`` that no record defines.
 
+    ``record_id`` names the referring record: its id, or its kind for a
+    comment or commit, which has none.
     Callers write ``table.get(key) or _dangling(...)``: model objects are
     always truthy, so this runs exactly when ``key`` is unknown.
     """
@@ -334,14 +336,14 @@ class _Loader:
 
     def _add_comment(self, line_no, comment: Comment):
         issue_id = comment.issue_id
-        issue = self.issues.get(issue_id) or _dangling(line_no, f"<comment line {line_no}>", issue_id, "issue")
+        issue = self.issues.get(issue_id) or _dangling(line_no, "comment", issue_id, "issue")
         comment.author = self.users.get(comment.author) or _dangling(line_no, issue_id, comment.author, "user")
         _enforce(comment_rules(comment, issue), line_no, issue_id)
         issue.comments.append(comment)
 
     def _add_commit(self, line_no, commit: Commit):
         repo_id = commit.repo_id
-        repo = self.repos.get(repo_id) or _dangling(line_no, f"<commit line {line_no}>", repo_id, "repo")
+        repo = self.repos.get(repo_id) or _dangling(line_no, "commit", repo_id, "repo")
         commit.author = self.users.get(commit.author) or _dangling(line_no, repo_id, commit.author, "user")
         _enforce(commit_rules(commit, repo, self.issues), line_no, repo_id)
         repo.commits.append(commit)

@@ -28,8 +28,8 @@ from types import ModuleType
 from typing import NamedTuple
 
 from . import __version__
-from .models import CATEGORY_ORDER, Category, Corpus
-from .units import ALPHA_DEFAULT, HOUR, MONTH, YEAR, parse_duration
+from .models import CATEGORY_ORDER, Category, Corpus, SimConfig
+from .units import ALPHA_DEFAULT, HOUR, parse_duration
 
 
 def _deferred(name: str) -> ModuleType:
@@ -368,20 +368,7 @@ def _classify_tables(corpus: Corpus, args: argparse.Namespace, _out: str) -> _Ou
 
 
 def _simulate(corpus: Corpus, args: argparse.Namespace) -> simulator.SimTable:
-    configs = [
-        simulator.SimConfig(
-            acceptance_probability=ap,
-            iap=args.iap,
-            horizon=args.horizon,
-            alpha=args.alpha,
-            seed=args.seed,
-            min_iap_issues=args.min_iap_issues,
-            jitter=args.jitter,
-            generative=args.generative,
-        )
-        for ap in args.ap
-    ]
-    table = simulator.simulate_corpus(corpus, configs, timeline_window=args.window)
+    table = simulator.simulate_corpus(corpus, args._configs, timeline_window=args.window)
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return table
@@ -482,31 +469,21 @@ def positive_duration(text: str) -> float:
     return value
 
 
-def probability(text: str) -> float:
-    """The argparse type of an acceptance probability, a number in [0, 1] (the scripts use it too)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 <= value <= 1.0:  # NaN fails this too
-        raise argparse.ArgumentTypeError(f"probability must lie in [0, 1]: {text!r}")
-    return value
-
-
-def _iap_issue_count(text: str) -> int:
-    """The argparse type of ``--min-iap-issues``: two issues make the one gap a median needs."""
+def _count(text: str) -> int:
+    """The argparse type of a non-negative integer."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 issues (one gap): {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text!r}")
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_out: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, needs_out: bool = True,
+                lenient_help: str = "drop bad records instead of failing") -> None:
     parser.add_argument("--in", dest="input", required=True, help="archive file to analyze")
-    parser.add_argument("--lenient", action="store_true", help="drop bad records instead of failing")
+    parser.add_argument("--lenient", action="store_true", help=lenient_help)
     if needs_out:
         parser.add_argument("--out", default="out", help="output directory")
         parser.add_argument("--format", choices=("csv", "structured"), default="csv")
@@ -515,14 +492,15 @@ def _add_common(parser: argparse.ArgumentParser, needs_out: bool = True) -> None
 
 
 def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ap", type=probability, nargs="+", default=[0.3, 0.6, 0.9],
+    """The simulation options; ``main`` checks them by building a ``SimConfig`` per ``--ap``."""
+    parser.add_argument("--ap", type=float, nargs="+", default=[0.3, 0.6, 0.9],
                         help="acceptance probabilities to simulate")
-    parser.add_argument("--iap", type=positive_duration, default=6 * MONTH,
+    parser.add_argument("--iap", type=_duration, default=SimConfig.iap,
                         help="initial assessment period (e.g. 6mo)")
-    parser.add_argument("--horizon", type=_duration, default=3 * YEAR,
+    parser.add_argument("--horizon", type=_duration, default=SimConfig.horizon,
                         help="total simulated span (e.g. 3y), longer than --iap")
-    parser.add_argument("--min-iap-issues", type=_iap_issue_count, default=3)
-    parser.add_argument("--jitter", type=_duration, default=0.0,
+    parser.add_argument("--min-iap-issues", type=int, default=SimConfig.min_iap_issues)
+    parser.add_argument("--jitter", type=_duration, default=SimConfig.jitter,
                         help="uniform fire-time jitter half-width (default off)")
     parser.add_argument("--generative", action="store_true",
                         help="resample post-assessment gaps instead of replaying them")
@@ -557,13 +535,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", help="conditional-request cache directory")
     p.add_argument("--workers", type=int, default=4)
     p.add_argument("--token", help="API token (else read from GITHUB_TOKEN)")
-    p.add_argument("--sample", type=int,
+    p.add_argument("--sample", type=_count,
                    help="keep only a seeded uniform subsample of fetched repos")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_fetch, subcommand="fetch")
 
     p = sub.add_parser("validate", help="check an archive against the data-model invariants")
-    _add_common(p, needs_out=False)
+    _add_common(p, needs_out=False, lenient_help="exit 0 even if records are rejected "
+                "(every rejected record is listed either way)")
     p.set_defaults(func=_cmd_validate, subcommand="validate")
 
     output_command("summary", _summary_tables, "per-category summary statistics")
@@ -597,8 +576,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "horizon") and not args.horizon > args.iap:
-        parser.error(f"{args.subcommand}: --horizon must exceed --iap")
+    if hasattr(args, "ap"):  # a usage error, before the load and before any stage runs
+        try:
+            args._configs = [
+                SimConfig(acceptance_probability=ap, iap=args.iap, horizon=args.horizon,
+                          alpha=args.alpha, seed=args.seed, min_iap_issues=args.min_iap_issues,
+                          jitter=args.jitter, generative=args.generative)
+                for ap in args.ap
+            ]
+        except ValueError as exc:
+            parser.error(f"{args.subcommand}: {exc}")
     frozen = gc.get_freeze_count()
     try:
         return args.func(args)

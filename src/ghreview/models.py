@@ -8,14 +8,19 @@ its references as names and fills in the referenced objects before
 threads without locking, and can keep what it derives from a corpus on
 the corpus itself (``Corpus.index``) for the rest of the run.
 
-Timestamps are UTC seconds since the epoch throughout.
+Timestamps are UTC seconds since the epoch throughout.  ``SimConfig``, the
+notification simulator's options, lives here too: a command checks them
+right after parsing its arguments, before it runs any stage module.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Container, Iterable
+
+from .units import ALPHA_DEFAULT, MONTH, YEAR
 
 
 class Category(str, enum.Enum):
@@ -289,3 +294,47 @@ def validate(corpus: Corpus) -> list[Violation]:
             report(repo.id, commit_rules(commit, repo, issue_ids))
 
     return out
+
+
+# ---------------------------------------------------------------------------
+# Simulation options
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """The notification simulator's options: the one definition of their defaults
+    and rules.  The CLI and the sweep script take their flag defaults from these
+    fields and check their flags only by building one per acceptance probability."""
+
+    acceptance_probability: float
+    iap: float = 6 * MONTH
+    horizon: float = 3 * YEAR
+    alpha: float = ALPHA_DEFAULT
+    seed: int = 0
+    min_iap_issues: int = 3
+    # extensions, all inert by default: jitter spreads fire times,
+    # generative resamples post-IAP gaps instead of replaying real ones
+    jitter: float = 0.0
+    generative: bool = False
+    max_events: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        # NaN fails no comparison below, and an infinite horizon never ends a run
+        for name in ("iap", "horizon", "alpha", "jitter"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0.0 <= self.acceptance_probability <= 1.0:
+            raise ValueError(
+                f"acceptance_probability must lie in [0, 1], got {self.acceptance_probability}"
+            )
+        if self.horizon <= self.iap:
+            raise ValueError("horizon must exceed iap")
+        if self.iap <= 0:
+            raise ValueError("iap must be positive")
+        if self.min_iap_issues < 2:
+            raise ValueError("min_iap_issues must be at least 2 (need one gap)")
+        if self.jitter < 0:
+            raise ValueError("jitter must be non-negative")
+        if self.alpha <= 0:
+            raise ValueError("alpha must be positive")

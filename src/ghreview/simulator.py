@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
-from .models import Corpus, Repository
+from .models import Corpus, Repository, SimConfig
 from .temporal import (
     Distribution,
     classify_gaps,
@@ -30,7 +30,7 @@ from .temporal import (
     split_sorted,
     timeline_from_times,
 )
-from .units import ALPHA_DEFAULT, DAY, MONTH, YEAR
+from .units import DAY
 
 __all__ = [
     "SimConfig",
@@ -49,41 +49,6 @@ __all__ = [
 
 class SimulationOverrunError(RuntimeError):
     """Raised when one run would emit more events than the configured cap."""
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    acceptance_probability: float
-    iap: float = 6 * MONTH
-    horizon: float = 3 * YEAR
-    alpha: float = ALPHA_DEFAULT
-    seed: int = 0
-    min_iap_issues: int = 3
-    # extensions, all inert by default: jitter spreads fire times,
-    # generative resamples post-IAP gaps instead of replaying real ones
-    jitter: float = 0.0
-    generative: bool = False
-    max_events: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        # NaN fails no comparison below, and an infinite horizon never ends a run
-        for name in ("iap", "horizon", "alpha", "jitter"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0.0 <= self.acceptance_probability <= 1.0:
-            raise ValueError(
-                f"acceptance_probability must lie in [0, 1], got {self.acceptance_probability}"
-            )
-        if self.horizon <= self.iap:
-            raise ValueError("horizon must exceed iap")
-        if self.iap <= 0:
-            raise ValueError("iap must be positive")
-        if self.min_iap_issues < 2:
-            raise ValueError("min_iap_issues must be at least 2 (need one gap)")
-        if self.jitter < 0:
-            raise ValueError("jitter must be non-negative")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
 
 
 class EventKind(str, Enum):

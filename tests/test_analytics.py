@@ -573,7 +573,7 @@ def test_popularity_ratio_follower_ladder():
         id="x/l", category=Category.RANDOM, created_at=float(BASE),
         owner=owner, contributors=(owner,), issues=[issue],
     )
-    report = expertise_coverage(Corpus(repos=[repo]), repos=[repo])
+    report = expertise_coverage(Corpus(repos=[repo]))
     assert report.n_reviewers == 5
     assert report.popularity_ratio == pytest.approx(100 / 166, abs=1e-12)
 
@@ -589,7 +589,7 @@ def test_popularity_ratio_floor_when_no_followers():
         id="x/z", category=Category.RANDOM, created_at=float(BASE),
         owner=owner, contributors=(owner,), issues=[issue],
     )
-    report = expertise_coverage(Corpus(repos=[repo]), repos=[repo])
+    report = expertise_coverage(Corpus(repos=[repo]))
     assert report.popularity_ratio == pytest.approx(1 / 5)  # ceil(0.2*5)/5
 
 

@@ -469,6 +469,18 @@ LINKED_COMMIT = (
             id="commit-links-unknown-issue",
         ),
         pytest.param(
+            [USER_ANN, USER_BOB, REPO_ONE, ISSUE_ONE, '{"kind":"comment","issue":"nope#1","author":"ann","created_at":300}'],
+            (ArchiveIntegrityError, 6, "line 6: comment -> nope#1: reference to unknown issue"),
+            [(6, "line 6: comment -> nope#1: reference to unknown issue")],
+            id="comment-on-unknown-issue",
+        ),
+        pytest.param(
+            [USER_ANN, USER_BOB, REPO_ONE, '{"kind":"commit","repo":"no/repo","author":"ann","created_at":500}'],
+            (ArchiveIntegrityError, 5, "line 5: commit -> no/repo: reference to unknown repo"),
+            [(5, "line 5: commit -> no/repo: reference to unknown repo")],
+            id="commit-to-unknown-repo",
+        ),
+        pytest.param(
             [
                 USER_ANN,
                 '{"kind":"user","login":"ann","followers":9}',  # line 3: duplicate login

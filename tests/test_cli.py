@@ -17,11 +17,11 @@ from pathlib import Path
 
 import pytest
 
-from ghreview import __version__, analytics, community, sentiment
+from ghreview import __version__, analytics, community, sentiment, simulator
 from ghreview.archive import ArchiveError, load_archive, save_archive
 from ghreview.cli import REPORT_FILES, main
 from ghreview.community import build_graph, ics
-from ghreview.models import Category, Corpus, Issue, Repository, User, reviewer_postings
+from ghreview.models import Category, Corpus, Issue, Repository, SimConfig, User, reviewer_postings
 from ghreview.synthetic import random_corpus
 from conftest import GOLDEN, TINY
 from fetch_fixture import TOOLS, WIDGETS, build_dataset, fixture_server
@@ -114,6 +114,15 @@ def test_validate_lenient_reports_dropped_lines(capsys, tmp_path, tiny_path):
     assert rc == 0
     assert "rejected line 83" in out
     assert "OK: 3 repositories, 16 users" in out
+
+
+def test_validate_help_says_lenient_only_changes_the_exit_status(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["validate", "--help"])
+    assert err.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "exit 0 even if records are rejected (every rejected record is listed either way)" in help_text
+    assert "drop bad records" not in help_text
 
 
 def test_validate_reports_each_rejection_once_with_its_line(capsys, tmp_path, tiny_path):
@@ -251,6 +260,35 @@ def test_simulate_rejects_out_of_range_probability(capsys, tiny_path, out_dir):
     assert err.value.code == 2
     assert "error:" in capsys.readouterr().err
     assert not os.path.exists(out_dir)
+
+
+@pytest.mark.parametrize(
+    ("flags", "rule"),
+    [
+        (["--ap", "1.5"], "acceptance_probability must lie in [0, 1], got 1.5"),
+        (["--min-iap-issues", "1"], "min_iap_issues must be at least 2 (need one gap)"),
+        (["--iap", "2y", "--horizon", "2y"], "horizon must exceed iap"),
+    ],
+)
+def test_simulation_flags_are_checked_by_simconfigs_rules(capsys, tiny_path, out_dir, flags, rule):
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--in", tiny_path, "--out", out_dir, *flags])
+    assert err.value.code == 2
+    assert f"ghreview: error: simulate: {rule}" in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
+def test_simulation_flag_defaults_are_simconfigs(tiny_path, out_dir, monkeypatch):
+    handed = []
+    real = simulator.simulate_corpus
+
+    def recording(corpus, configs, **kwargs):
+        handed.append(list(configs))
+        return real(corpus, configs, **kwargs)
+
+    monkeypatch.setattr(simulator, "simulate_corpus", recording)
+    assert main(["simulate", "--in", tiny_path, "--out", out_dir]) == 0
+    assert handed == [[SimConfig(acceptance_probability=ap) for ap in (0.3, 0.6, 0.9)]]
 
 
 # --- community -------------------------------------------------------------
@@ -423,6 +461,18 @@ def test_fetch_sample_is_seeded(tmp_path):
         kept.append([r.id for r in corpus.repos])
     assert kept[0] == kept[1]
     assert len(kept[0]) == 1
+
+
+def test_fetch_rejects_a_negative_sample_before_any_request(capsys, tmp_path):
+    archive = tmp_path / "fetched.ndjson"
+    with fixture_server() as (state, base_url):
+        with pytest.raises(SystemExit) as err:
+            main(["fetch", "--repo", TOOLS, "--base-url", base_url,
+                  "--out-archive", str(archive), "--sample", "-1"])
+    assert err.value.code == 2
+    assert "argument --sample: must not be negative: '-1'" in capsys.readouterr().err
+    assert state.requests == 0
+    assert not archive.exists()
 
 
 def _fetch_args(base_url, archive, *extra) -> list[str]:
