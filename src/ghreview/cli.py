@@ -22,7 +22,7 @@ import os
 import random
 import shutil
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from types import ModuleType
 from typing import NamedTuple
@@ -243,31 +243,22 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
     if not os.path.isdir(out_dir):  # before the first request, not after the last
         print(f"error: cannot write {args.out_archive}: no directory {out_dir}", file=sys.stderr)
         return 1
-    plan = fetcher.FetchPlan(
-        targets=tuple(args.repo),
-        topic=args.topic,
-        token=args.token,
-        page_size=args.page_size,
-        max_pages=args.max_pages,
-        category=Category.parse(args.category),
-        base_url=args.base_url,
-        cache_dir=args.cache_dir,
-        workers=args.workers,
-    )
+    plan = args._plan
     try:
         client = fetcher.GitHubClient(plan)
+        if args.sample is not None:
+            # a seeded uniform subsample of the targets, picked before any is
+            # fetched; a stand-in for corpus collection procedures that were
+            # never published
+            slugs = set(plan.targets)
+            if plan.topic:
+                slugs.update(fetcher.search_by_topic(plan.topic, plan, client))
+            picked = random.Random(args.seed).sample(sorted(slugs), min(args.sample, len(slugs)))
+            plan = replace(plan, targets=tuple(sorted(picked)), topic=None)
         corpus = fetcher.fetch_corpus(plan, client=client)
     except fetcher.FetchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.sample is not None:
-        # uniform subsample of fetched repos; a stand-in for corpus
-        # collection procedures that were never published
-        rng = random.Random(args.seed)
-        keep = set(
-            rng.sample([r.id for r in corpus.repos], min(args.sample, len(corpus.repos)))
-        )
-        corpus.repos = [r for r in corpus.repos if r.id in keep]
     archive.save_archive(corpus, args.out_archive)
     _write_manifest(
         out_dir, args, [],
@@ -520,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     def output_command(name: str, build, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         _add_common(p)
-        p.set_defaults(func=_output_command(build), subcommand=name)
+        p.set_defaults(func=_output_command(build), subcommand=name, _parser=p)
         return p
 
     p = sub.add_parser("fetch", help="pull repositories from a REST endpoint into an archive")
@@ -536,14 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=4)
     p.add_argument("--token", help="API token (else read from GITHUB_TOKEN)")
     p.add_argument("--sample", type=_count,
-                   help="keep only a seeded uniform subsample of fetched repos")
+                   help="fetch only a seeded uniform sample of N of the named repos")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_fetch, subcommand="fetch")
+    p.set_defaults(func=_cmd_fetch, subcommand="fetch", _parser=p)
 
     p = sub.add_parser("validate", help="check an archive against the data-model invariants")
     _add_common(p, needs_out=False, lenient_help="exit 0 even if records are rejected "
                 "(every rejected record is listed either way)")
-    p.set_defaults(func=_cmd_validate, subcommand="validate")
+    p.set_defaults(func=_cmd_validate, subcommand="validate", _parser=p)
 
     output_command("summary", _summary_tables, "per-category summary statistics")
 
@@ -574,18 +565,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "ap"):  # a usage error, before the load and before any stage runs
-        try:
+    args = build_parser().parse_args(argv)
+    try:  # a broken rule is a usage error, found before the load and before any request
+        if hasattr(args, "ap"):  # before any stage runs, too
             args._configs = [
                 SimConfig(acceptance_probability=ap, iap=args.iap, horizon=args.horizon,
                           alpha=args.alpha, seed=args.seed, min_iap_issues=args.min_iap_issues,
                           jitter=args.jitter, generative=args.generative)
                 for ap in args.ap
             ]
-        except ValueError as exc:
-            parser.error(f"{args.subcommand}: {exc}")
+        if args.subcommand == "fetch":
+            args._plan = fetcher.FetchPlan(
+                targets=tuple(args.repo),
+                topic=args.topic,
+                token=args.token,
+                page_size=args.page_size,
+                max_pages=args.max_pages,
+                category=Category.parse(args.category),
+                base_url=args.base_url,
+                cache_dir=args.cache_dir,
+                workers=args.workers,
+            )
+    except ValueError as exc:
+        args._parser.error(str(exc))
     frozen = gc.get_freeze_count()
     try:
         return args.func(args)

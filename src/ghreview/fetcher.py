@@ -9,7 +9,9 @@ Design notes, all load-bearing for the tests:
   when that fetch ends or fails; a run whose every response was a 304
   writes nothing.  The file is written one entry at a time, so a write
   holds about one entry's text, not the whole file's; its bytes are those
-  of ``json.dumps`` of the cache.  Exceptions and interrupts still write every page
+  of ``json.dumps`` of the cache, whose entries are put in key order first,
+  so the bytes do not depend on the order in which worker threads stored
+  them.  Exceptions and interrupts still write every page
   fetched so far; a process killed outright loses the pages of the
   repository in flight, which the next run fetches again.
 - Requests go out over stdlib ``http.client`` on keep-alive connections
@@ -22,12 +24,10 @@ Design notes, all load-bearing for the tests:
 - Follower counts are fetched once per distinct login per repository,
   through a small thread pool, and stamped into the corpus meta as a
   snapshot time.
-- Payloads become archive records that the archive loader reads, links and
-  checks as it does an archive file's lines, so a fetch succeeds only on
-  data that a saved archive would load.
-- Fetching is idempotent: repositories are upserted by id, so an
-  interrupted run rerun against the same cache converges to the same
-  corpus as an uninterrupted one.
+- Payloads become archive records that one archive loader per fetch reads,
+  links and checks as it does an archive file's lines, so a fetch succeeds
+  only on data that a saved archive would load, and the corpus holds one
+  ``User`` per login.  A target named twice is fetched once.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from urllib.parse import quote, urljoin, urlsplit
 
 from . import __version__
@@ -227,6 +227,8 @@ class GitHubClient:
         with self._lock:
             if self._cache_path is None or not self._dirty:
                 return
+            # In key order: the bytes must not depend on which thread stored an entry first.
+            self._cache = dict(sorted(self._cache.items()))
             # Entry by entry, each through the C encoder: one dumps of the whole
             # dict would hold several times the file's size at once.  The
             # separators are json.dumps's, so the bytes are the same.
@@ -465,17 +467,14 @@ def _persisting(client: GitHubClient):
         client.close()
 
 
-def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = None) -> tuple[Repository, dict[str, User]]:
-    """Fetch one repository's full event tree.
+def _read_repository(slug: str, plan: FetchPlan, client: GitHubClient, loader: _Loader) -> list[tuple[str, dict]]:
+    """Read one repository's repo, issue, comment and commit records into ``loader``.
 
-    Returns the repository plus every user it references, with follower
-    counts resolved.  The archive loader reads, links and checks each payload
-    element as an archive record; one it rejects raises PayloadDecodeError
-    naming the URL that sent it.  Raises UnknownRepoError on 404.  The ETag
-    cache is written when the fetch ends, whether it succeeded or not.
+    Returns a user record, beside its URL, for every login those records
+    name, with follower counts resolved.  Raises UnknownRepoError on 404.
+    The ETag cache is written when the repository's fetch ends, whether it
+    succeeded or not.
     """
-    client = client or GitHubClient(plan)
-    loader = _Loader(lenient=False)
     logins: set[str] = set()  # filled from records the loader has read, so every login is a str
     with _persisting(client):
         repo_url = f"{plan.base_url}/repos/{slug}"
@@ -489,61 +488,65 @@ def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = N
         contributors = client.paged(f"{repo_url}/contributors?{page_query}")
         issues = client.paged(f"{repo_url}/issues?{_query({'state': 'all', 'per_page': plan.page_size})}")
         commits = client.paged(f"{repo_url}/commits?{page_query}")
-        try:
-            repo = _record(
-                id=slug,
-                category=plan.category.value,
-                created_at=payload.get("created_at"),
-                owner=_field(payload, repo_url, "owner", "login"),
-                contributors=[c["login"] for _, c in contributors if "login" in c],
-                stargazers=payload.get("stargazers_count"),
-                forks=payload.get("forks_count"),
-                watchers=payload.get("subscribers_count", payload.get("watchers_count")),
+        repo = _record(
+            id=slug,
+            category=plan.category.value,
+            created_at=payload.get("created_at"),
+            owner=_field(payload, repo_url, "owner", "login"),
+            contributors=[c["login"] for _, c in contributors if "login" in c],
+            stargazers=payload.get("stargazers_count"),
+            forks=payload.get("forks_count"),
+            watchers=payload.get("subscribers_count", payload.get("watchers_count")),
+        )
+        loader.read(repo_url, "repo", repo)
+        logins.update([repo["owner"], *repo["contributors"]])
+        for url, item in issues:
+            number = _field(item, url, "number")
+            if type(number) is not int:  # it becomes part of an issue id and a URL path
+                raise PayloadDecodeError(url, f"field 'number' must be an integer, got {number!r}")
+            issue = _record(
+                id=f"{slug}#{number}",
+                repo=slug,
+                opener=_field(item, url, "user", "login"),
+                created_at=item.get("created_at"),
+                has_linked_code="pull_request" in item,
+                closed_at=item.get("closed_at"),
+                closer=_field(item, url, "closed_by", "login", optional=True),
             )
-            loader.read(repo_url, "repo", repo)
-            logins.update([repo["owner"], *repo["contributors"]])
-            for url, item in issues:
-                number = _field(item, url, "number")
-                if type(number) is not int:  # it becomes part of an issue id and a URL path
-                    raise PayloadDecodeError(url, f"field 'number' must be an integer, got {number!r}")
-                issue = _record(
-                    id=f"{slug}#{number}",
-                    repo=slug,
-                    opener=_field(item, url, "user", "login"),
-                    created_at=item.get("created_at"),
-                    has_linked_code="pull_request" in item,
-                    closed_at=item.get("closed_at"),
-                    closer=_field(item, url, "closed_by", "login", optional=True),
-                )
-                loader.read(url, "issue", issue)
-                logins.update(issue[key] for key in ("opener", "closer") if key in issue)
-                if item.get("comments", 0):
-                    for page_url, c in client.paged(f"{repo_url}/issues/{number}/comments?{page_query}"):
-                        comment = _record(
-                            issue=issue["id"],
-                            author=_field(c, page_url, "user", "login"),
-                            created_at=c.get("created_at"),
-                            body=c.get("body"),
-                        )
-                        loader.read(page_url, "comment", comment)
-                        logins.add(comment["author"])
-            for url, item in commits:
-                if not item.get("author"):
-                    continue  # commits without a resolvable account carry no reviewer signal
-                commit = _record(
-                    repo=slug,
-                    author=_field(item, url, "author", "login"),
-                    created_at=_field(item, url, "commit", "author", "date"),
-                    lines_added=_field(item, url, "stats", "additions", optional=True),
-                    lines_removed=_field(item, url, "stats", "deletions", optional=True),
-                )
-                loader.read(url, "commit", commit)
-                logins.add(commit["author"])
-            for url, user in _user_records(client, logins):
-                loader.read(url, "user", user)
-            corpus = loader.link({})
-        except ArchiveError as err:  # a fetched record's source is the URL that sent it
-            raise PayloadDecodeError(err.line_no, err.reason) from None
+            loader.read(url, "issue", issue)
+            logins.update(issue[key] for key in ("opener", "closer") if key in issue)
+            if item.get("comments", 0):
+                for page_url, c in client.paged(f"{repo_url}/issues/{number}/comments?{page_query}"):
+                    comment = _record(
+                        issue=issue["id"],
+                        author=_field(c, page_url, "user", "login"),
+                        created_at=c.get("created_at"),
+                        body=c.get("body"),
+                    )
+                    loader.read(page_url, "comment", comment)
+                    logins.add(comment["author"])
+        for url, item in commits:
+            if not item.get("author"):
+                continue  # commits without a resolvable account carry no reviewer signal
+            commit = _record(
+                repo=slug,
+                author=_field(item, url, "author", "login"),
+                created_at=_field(item, url, "commit", "author", "date"),
+                lines_added=_field(item, url, "stats", "additions", optional=True),
+                lines_removed=_field(item, url, "stats", "deletions", optional=True),
+            )
+            loader.read(url, "commit", commit)
+            logins.add(commit["author"])
+        return _user_records(client, logins)
+
+
+def fetch_repository(slug: str, plan: FetchPlan, client: GitHubClient | None = None) -> tuple[Repository, dict[str, User]]:
+    """Fetch one repository's full event tree: ``fetch_corpus`` of that one target.
+
+    Returns the repository plus every user it references, with follower
+    counts resolved.  Raises UnknownRepoError on 404.
+    """
+    corpus = fetch_corpus(replace(plan, targets=(slug,), topic=None), client)
     return corpus.repos[0], corpus.users
 
 
@@ -567,49 +570,28 @@ def search_by_topic(topic: str, plan: FetchPlan, client: GitHubClient | None = N
     return slugs
 
 
-def fetch_corpus(
-    plan: FetchPlan,
-    client: GitHubClient | None = None,
-    base_corpus: Corpus | None = None,
-) -> Corpus:
-    """Fetch every planned target, upserting into an existing corpus.
+def fetch_corpus(plan: FetchPlan, client: GitHubClient | None = None) -> Corpus:
+    """Fetch every planned target, each once, into one corpus.
 
-    Repositories replace any same-id predecessor; users merge by login,
-    the last fetch winning, and every user reference in the result (kept
-    ``base_corpus`` repositories included, changed in place) is the
-    ``users`` entry for its login.  Rerunning after an interruption
-    therefore converges to the result of an uninterrupted run.
+    One archive loader reads every target's records, then links and checks
+    them all at once, so the corpus holds one ``User`` per login.  Users
+    are fetched per repository; the last repository's answer for a login
+    wins.  A record the loader rejects raises PayloadDecodeError naming the
+    URL that sent it: a read error as soon as its page arrives, a broken
+    link-time rule after the last target.
     """
     client = client or GitHubClient(plan)
     slugs = list(plan.targets)
     if plan.topic:
         slugs.extend(search_by_topic(plan.topic, plan, client))
-    repos: dict[str, Repository] = (
-        {r.id: r for r in base_corpus.repos} if base_corpus else {}
-    )
-    users: dict[str, User] = dict(base_corpus.users) if base_corpus else {}
-    for slug in slugs:
-        repo, seen = fetch_repository(slug, plan, client)
-        repos[repo.id] = repo
-        users.update(seen)
-    # keyed by each winner's own login string, in login order, as a saved archive holds them
-    users = {u.login: u for _, u in sorted(users.items())}
-    for repo in repos.values():
-        _share_users(repo, users)
-    meta = dict(base_corpus.meta) if base_corpus else {}
-    meta.setdefault("snapshot_at", time.time())
-    return Corpus(repos=sorted(repos.values(), key=lambda r: r.id), users=users, meta=meta)
-
-
-def _share_users(repo: Repository, users: dict[str, User]) -> None:
-    """Point every user reference in ``repo`` at the ``users`` entry for its login."""
-    repo.owner = users[repo.owner.login]
-    repo.contributors = tuple(users[u.login] for u in repo.contributors)
-    for issue in repo.issues:
-        issue.opener = users[issue.opener.login]
-        if issue.closer is not None:
-            issue.closer = users[issue.closer.login]
-        for comment in issue.comments:
-            comment.author = users[comment.author.login]
-    for commit in repo.commits:
-        commit.author = users[commit.author.login]
+    loader = _Loader(lenient=False)
+    users: dict[str, tuple[str, dict]] = {}  # login -> (URL, user record)
+    try:
+        for slug in dict.fromkeys(slugs):
+            for url, user in _read_repository(slug, plan, client, loader):
+                users[user["login"]] = url, user
+        for _, (url, user) in sorted(users.items()):
+            loader.read(url, "user", user)
+        return loader.link({"snapshot_at": time.time()})
+    except ArchiveError as err:  # a fetched record's source is the URL that sent it
+        raise PayloadDecodeError(err.line_no, err.reason) from None

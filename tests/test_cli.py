@@ -274,7 +274,9 @@ def test_simulation_flags_are_checked_by_simconfigs_rules(capsys, tiny_path, out
     with pytest.raises(SystemExit) as err:
         main(["simulate", "--in", tiny_path, "--out", out_dir, *flags])
     assert err.value.code == 2
-    assert f"ghreview: error: simulate: {rule}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ghreview simulate ")
+    assert f"ghreview simulate: error: {rule}\n" in err
     assert not os.path.exists(out_dir)
 
 
@@ -475,6 +477,46 @@ def test_fetch_rejects_a_negative_sample_before_any_request(capsys, tmp_path):
     assert not archive.exists()
 
 
+def _body(archive) -> list[str]:
+    """An archive's lines after the meta header, which holds the snapshot time."""
+    return archive.read_text(encoding="utf-8").splitlines()[1:]
+
+
+def test_fetch_sample_fetches_only_the_kept_repositories(tmp_path):
+    sampled, alone = tmp_path / "sampled.ndjson", tmp_path / "alone.ndjson"
+    with fixture_server() as (state, base_url):
+        assert main(["fetch", "--repo", TOOLS, "--repo", WIDGETS, "--base-url", base_url,
+                     "--out-archive", str(sampled), "--sample", "1", "--seed", "3"]) == 0
+        sampled_requests = state.requests
+    [kept] = [r.id for r in load_archive(str(sampled)).repos]
+    with fixture_server() as (state, base_url):
+        assert main(["fetch", "--repo", kept, "--base-url", base_url, "--out-archive", str(alone)]) == 0
+    assert sampled_requests == state.requests  # not one request for the dropped repository
+    assert _body(sampled) == _body(alone)
+
+
+@pytest.mark.parametrize(
+    ("flag", "value", "rule"),
+    [
+        ("--workers", "0", "workers must be positive"),
+        ("--page-size", "500", "page_size must be in 1..100, got 500"),
+        ("--max-pages", "0", "max_pages must be positive"),
+    ],
+)
+def test_fetch_option_rules_are_usage_errors_of_fetch(capsys, tmp_path, flag, value, rule):
+    archive = tmp_path / "fetched.ndjson"
+    with fixture_server() as (state, base_url):
+        with pytest.raises(SystemExit) as err:
+            main(["fetch", "--repo", TOOLS, "--base-url", base_url,
+                  "--out-archive", str(archive), flag, value])
+    assert err.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ghreview fetch ")
+    assert f"ghreview fetch: error: {rule}\n" in err
+    assert state.requests == 0
+    assert not archive.exists()
+
+
 def _fetch_args(base_url, archive, *extra) -> list[str]:
     os.makedirs(os.path.dirname(archive), exist_ok=True)
     return ["fetch", "--repo", TOOLS, "--repo", WIDGETS, "--base-url", base_url,
@@ -629,6 +671,38 @@ def test_fetch_stops_on_a_payload_the_archive_rejects(capsys, tmp_path, edit, pa
     assert not archive.exists()
 
 
+def test_fetch_reports_a_broken_link_rule_after_the_last_target(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    with fixture_server() as (state, base_url):
+        assert main(_fetch_args(base_url, tmp_path / "clean" / "out.ndjson")) == 0
+        clean_requests = state.requests
+    dataset = build_dataset()
+    dataset["repos"][TOOLS]["issues"][1].pop("closed_by")  # breaks a rule that linking checks
+    archive = tmp_path / "out.ndjson"
+    with fixture_server(dataset) as (state, base_url):
+        rc = main(_fetch_args(base_url, archive, "--cache-dir", str(cache)))  # TOOLS first
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert (f"error: undecodable payload from {base_url}{_ISSUES}: "
+            f"{TOOLS}#2: closer present iff closed_at present\n") in err
+    assert state.requests == clean_requests  # found once every target was read
+    assert not archive.exists()
+    assert (cache / "etag_cache.json").exists()
+
+
+def test_fetch_output_does_not_depend_on_the_worker_count(tmp_path):
+    archive, cache = tmp_path / "out.ndjson", tmp_path / "cache"
+    outputs = []
+    with fixture_server() as (_, base_url):
+        for workers in ("1", "8"):
+            shutil.rmtree(cache, ignore_errors=True)
+            assert main(_fetch_args(base_url, archive, "--cache-dir", str(cache), "--workers", workers)) == 0
+            manifest = _manifest(tmp_path)
+            del manifest["generated_at"], manifest["config"]["workers"]
+            outputs.append((_body(archive), (cache / "etag_cache.json").read_bytes(), manifest))
+    assert outputs[0] == outputs[1]
+
+
 # Issue #1 of TOOLS has one comment, so its number goes into a comments URL; the fixture
 # server answers 404 for a path whose number is not a run of digits.
 @pytest.mark.parametrize(
@@ -757,6 +831,26 @@ def test_report_runs_are_byte_identical(tiny_path, tmp_path):
     m1["config"].pop("out")
     m2["config"].pop("out")
     assert m1 == m2
+
+
+def test_report_does_not_depend_on_the_hash_seed(tmp_path):
+    archive, out = tmp_path / "corpus.ndjson", tmp_path / "report"
+    save_archive(random_corpus(1), archive)
+    outputs = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghreview.cli", "report", "--in", str(archive), "--out", str(out), "--force"],
+            env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        files = {name: (out / name).read_bytes() for name in REPORT_FILES + ("report.json",)}
+        manifest = _manifest(out)
+        del manifest["generated_at"]
+        outputs.append((files, manifest))
+    assert outputs[0] == outputs[1]
 
 
 def test_report_matches_committed_golden(tiny_path, tmp_path):
