@@ -359,7 +359,7 @@ def _classify_tables(corpus: Corpus, args: argparse.Namespace, _out: str) -> _Ou
 
 
 def _simulate(corpus: Corpus, args: argparse.Namespace) -> simulator.SimTable:
-    table = simulator.simulate_corpus(corpus, args._configs, timeline_window=args.window)
+    table = simulator.simulate_corpus(corpus, args._configs)
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return table
@@ -420,10 +420,7 @@ def _report_tables(corpus: Corpus, args: argparse.Namespace, out: str) -> _Outpu
         **_sim_tables(table),
         **_expertise_tables(corpus, args, out).tables,
         "table5": _correlation_table(corpus, "ics"),
-        "fig8_popularity": (
-            ["repo_id", "issue_count", "r", "p", "n"],
-            [[r.repo_id, r.issue_count, r.r, r.p, r.n] for r in popularity.rows],
-        ),
+        "fig8_popularity": _fields_table(analytics.PopularityRow, popularity.rows),
     }
     combined = {
         "seed": args.seed,
@@ -483,7 +480,8 @@ def _add_common(parser: argparse.ArgumentParser, needs_out: bool = True,
 
 
 def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
-    """The simulation options; ``main`` checks them by building a ``SimConfig`` per ``--ap``."""
+    """The simulation options: ``SimConfig`` fields, with its defaults.  ``main`` checks
+    them by building a ``SimConfig`` per ``--ap``, so its rules are theirs."""
     parser.add_argument("--ap", type=float, nargs="+", default=[0.3, 0.6, 0.9],
                         help="acceptance probabilities to simulate")
     parser.add_argument("--iap", type=_duration, default=SimConfig.iap,
@@ -495,7 +493,7 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
                         help="uniform fire-time jitter half-width (default off)")
     parser.add_argument("--generative", action="store_true",
                         help="resample post-assessment gaps instead of replaying them")
-    parser.add_argument("--window", type=positive_duration, default=parse_duration("30d"),
+    parser.add_argument("--window", type=_duration, default=SimConfig.window,
                         help="timeline aggregation window")
 
 
@@ -571,7 +569,7 @@ def main(argv: list[str] | None = None) -> int:
             args._configs = [
                 SimConfig(acceptance_probability=ap, iap=args.iap, horizon=args.horizon,
                           alpha=args.alpha, seed=args.seed, min_iap_issues=args.min_iap_issues,
-                          jitter=args.jitter, generative=args.generative)
+                          jitter=args.jitter, generative=args.generative, window=args.window)
                 for ap in args.ap
             ]
         if args.subcommand == "fetch":
@@ -586,6 +584,8 @@ def main(argv: list[str] | None = None) -> int:
                 cache_dir=args.cache_dir,
                 workers=args.workers,
             )
+            if not (args.repo or args.topic) or args.sample == 0:
+                raise ValueError("nothing to fetch: give a --repo or a --topic, and a --sample above 0")
     except ValueError as exc:
         args._parser.error(str(exc))
     frozen = gc.get_freeze_count()

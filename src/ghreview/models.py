@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Container, Iterable
 
-from .units import ALPHA_DEFAULT, MONTH, YEAR
+from .units import ALPHA_DEFAULT, DAY, MONTH, YEAR
 
 
 class Category(str, enum.Enum):
@@ -305,7 +305,8 @@ def validate(corpus: Corpus) -> list[Violation]:
 class SimConfig:
     """The notification simulator's options: the one definition of their defaults
     and rules.  The CLI and the sweep script take their flag defaults from these
-    fields and check their flags only by building one per acceptance probability."""
+    fields and check their flags only by building one per acceptance probability.
+    ``window`` is the width of the Fig 6 windows each run's series is cut into."""
 
     acceptance_probability: float
     iap: float = 6 * MONTH
@@ -313,6 +314,7 @@ class SimConfig:
     alpha: float = ALPHA_DEFAULT
     seed: int = 0
     min_iap_issues: int = 3
+    window: float = 30 * DAY
     # extensions, all inert by default: jitter spreads fire times,
     # generative resamples post-IAP gaps instead of replaying real ones
     jitter: float = 0.0
@@ -338,3 +340,5 @@ class SimConfig:
             raise ValueError("jitter must be non-negative")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        if not self.window > 0:  # NaN included; an infinite window is one window
+            raise ValueError(f"window must be positive, got {self.window}")

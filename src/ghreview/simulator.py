@@ -30,7 +30,6 @@ from .temporal import (
     split_sorted,
     timeline_from_times,
 )
-from .units import DAY
 
 __all__ = [
     "SimConfig",
@@ -81,8 +80,9 @@ class _Before:
     period, then the later ones, replayed or generated; the first ``n_iap``
     are the period's.  ``iap_gaps`` are that period's positive gaps, sorted:
     they seed the notifier's running median.  ``distribution`` classifies
-    the real series.  A sweep computes this once per repository and shares
-    it, read-only, between the runs at every acceptance probability.
+    the real series and ``timeline`` is its Fig 6 series.  A sweep computes
+    this once per repository and shares it, read-only, between the runs at
+    every acceptance probability.
     """
 
     repo_id: str
@@ -93,16 +93,19 @@ class _Before:
     n_iap: int = 0
     iap_gaps: tuple[float, ...] = ()
     distribution: Distribution | None = None
+    timeline: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
 class SimResult:
     """One repository's run under one config.
 
-    The event log and the injected times are replayed when first read: the
-    RNG is keyed by seed and repo id, so the replay is exact.  So a sweep
-    holds no per-run issue times; ``n_injected`` counts the injections
-    without a replay.
+    ``timeline`` is the after side's Fig 6 series: the Regular share of each
+    non-empty ``config.window`` over the real and injected times.  The event
+    log and the injected times are replayed when first read: the RNG is
+    keyed by seed and repo id, so the replay is exact.  So a sweep holds no
+    per-run issue times; ``n_injected`` counts the injections without a
+    replay.
     """
 
     repo_id: str
@@ -116,6 +119,7 @@ class SimResult:
     final_idm: float | None = None
     n_fires: int = 0  # notifications fired; n_injected of them were accepted
     n_injected: int = 0
+    timeline: tuple[float, ...] = ()
     _before: _Before | None = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -147,6 +151,11 @@ def _generative_times(
     return out
 
 
+def _regular_shares(times: list[float] | tuple[float, ...], config: SimConfig) -> tuple[float, ...]:
+    """The Regular share of each non-empty ``config.window`` over ``times``: one Fig 6 series."""
+    return tuple(p.regular_pct for p in timeline_from_times(times, config.window, config.alpha))
+
+
 def _before_side(repo: Repository, config: SimConfig) -> _Before:
     """Everything of a run that the acceptance probability leaves unchanged."""
     iap_end = repo.created_at + config.iap
@@ -169,26 +178,26 @@ def _before_side(repo: Repository, config: SimConfig) -> _Before:
     real_times = tuple(iap_times + post_real)
     _, before = classify_gaps(gaps_from_times(real_times), alpha=config.alpha)
     return _Before(
-        repo.id, iap_end, horizon_end, None, real_times, n_iap, tuple(sorted(iap_gaps)), before
+        repo.id, iap_end, horizon_end, None, real_times, n_iap, tuple(sorted(iap_gaps)), before,
+        _regular_shares(real_times, config),
     )
 
 
 def _notify(
-    before: _Before, config: SimConfig, sink: list[SimEvent] | None = None, merged: list[float] | None = None
+    before: _Before, config: SimConfig, sink: list[SimEvent] | None = None
 ) -> tuple[list[float], list[int], float, int, list[float]]:
     """Run the notifier over one repository, appending its events to ``sink`` if given.
 
     Returns every issue time, real and injected, in the order the loop met
-    them (time order), appended to ``merged`` if given (empty) or else to a
-    new list; the positions of the injected ones in that list; the final
-    median; the number of fires; and the sorted positive gaps of the issue
-    times, whose median the final one is.  ``before`` is read, never changed.
+    them (time order); the positions of the injected ones in that list; the
+    final median; the number of fires; and the sorted positive gaps of the
+    issue times, whose median the final one is.  ``before`` is read, never
+    changed.
     """
     real = before.real_times
     n_real = len(real)
     i = before.n_iap
-    merged = [] if merged is None else merged
-    merged += real[:i]
+    merged = list(real[:i])
     if sink is not None:
         seen: list[float] = []
         for k, t in enumerate(merged):
@@ -255,24 +264,20 @@ def _notify(
     return merged, injected_at, idm, n_fires, gaps
 
 
-def simulate(
-    repo: Repository, config: SimConfig, *, _before: _Before | None = None, _times: list[float] | None = None
-) -> SimResult:
+def simulate(repo: Repository, config: SimConfig, *, _before: _Before | None = None) -> SimResult:
     """Replay one repository under the notification mechanism.
 
     Repositories with fewer than min_iap_issues issues inside the IAP are
     returned excluded rather than failing, mirroring the corpus-cleaning
     rule that sparse early activity is noise.  ``simulate_corpus`` passes
-    the before side it shares between acceptance probabilities, and an
-    empty list ``_times`` that receives the run's issue times, real and
-    injected, in time order, for its after-side Fig 6 series.
+    the before side it shares between acceptance probabilities.
     """
     before = _before if _before is not None else _before_side(repo, config)
     if before.exclusion is not None:
         return SimResult(
             repo_id=repo.id, config=config, excluded=True, exclusion_reason=before.exclusion
         )
-    merged, injected_at, final_idm, n_fires, gaps = _notify(before, config, merged=_times)
+    merged, injected_at, final_idm, n_fires, gaps = _notify(before, config)
     # merged is in time order and final_idm is the median of its positive gaps,
     # so the split is classify_gaps's over merged's gaps
     after = split_sorted(gaps, len(merged) - 1, final_idm, config.alpha)
@@ -294,6 +299,8 @@ def simulate(
         final_idm=final_idm,
         n_fires=n_fires,
         n_injected=len(injected_at),
+        # merged is dropped on return: a sweep holds one run's issue times at a time
+        timeline=_regular_shares(merged, config),
         _before=before,
     )
 
@@ -362,17 +369,26 @@ class SimTable:
     results: dict[tuple[str, float], tuple[SimResult, ...]] = field(default_factory=dict)
 
 
-def _mean_or_none(values: list[float]) -> float | None:
-    if not values:
-        return None
-    return sum(values) / len(values)
+def _mean_shares(dists: list[Distribution], prefix: str) -> dict[str, float | None]:
+    """The ``SimRow`` fields ``prefix + <class>_pct``: each class's share averaged over ``dists``."""
+    return {
+        f"{prefix}{name}": sum(getattr(d, name) for d in dists) / len(dists) if dists else None
+        for name in ("dense_pct", "regular_pct", "dispersed_pct")
+    }
 
 
-def simulate_corpus(
-    corpus: Corpus,
-    configs: list[SimConfig],
-    timeline_window: float = 30 * DAY,
-) -> SimTable:
+def _window_means(series: list[tuple[float, ...]]) -> list[tuple[float, int]]:
+    """For each window index: the mean of the ``series`` values there, and how many series reach it."""
+    columns: list[list[float]] = []
+    for shares in series:
+        for idx, share in enumerate(shares):
+            if idx == len(columns):
+                columns.append([])
+            columns[idx].append(share)
+    return [(sum(column) / len(column), len(column)) for column in columns]
+
+
+def simulate_corpus(corpus: Corpus, configs: list[SimConfig]) -> SimTable:
     """Run every config over every repository, aggregated per category.
 
     Per-repo classification shares are averaged unweighted within each
@@ -384,69 +400,49 @@ def simulate_corpus(
     timelines: list[TimelineRow] = []
     warnings: list[str] = []
     results: dict[tuple[str, float], tuple[SimResult, ...]] = {}
-    if not timeline_window > 0:  # checked before any run, as timeline_from_times would
-        raise ValueError(f"window must be positive, got {timeline_window}")
     if not corpus.repos:
         warnings.append("empty corpus: nothing to simulate")
     for category in corpus.categories():
         repos = sorted(corpus.by_category(category), key=lambda r: r.id)
         # per config with the AP taken out: each repo's before side, and the
         # mean before regular share per window index
-        shared: dict[SimConfig, tuple[list[_Before], dict[int, float]]] = {}
+        shared: dict[SimConfig, tuple[list[_Before], list[float]]] = {}
         for config in configs:
             ap = config.acceptance_probability
             key = replace(config, acceptance_probability=0.0)
             if key not in shared:
-                shared[key] = _shared_before(repos, config, timeline_window)
+                sides = [_before_side(repo, config) for repo in repos]
+                series = [side.timeline for side in sides if side.exclusion is None]
+                shared[key] = sides, [mean for mean, _ in _window_means(series)]
             sides, before_means = shared[key]
-            sims: list[SimResult] = []
-            after_by_idx: dict[int, list[float]] = {}
-            for repo, side in zip(repos, sides):
-                # one run's issue times at a time: the result keeps none of them
-                times: list[float] = []
-                sim = simulate(repo, config, _before=side, _times=times)
-                sims.append(sim)
-                if not sim.excluded:
-                    for idx, point in enumerate(timeline_from_times(times, timeline_window, config.alpha)):
-                        after_by_idx.setdefault(idx, []).append(point.regular_pct)
-            results[(category.value, ap)] = tuple(sims)
+            sims = tuple(simulate(repo, config, _before=side) for repo, side in zip(repos, sides))
+            results[(category.value, ap)] = sims
             kept = [s for s in sims if not s.excluded]
-            n_excluded = len(sims) - len(kept)
             if not kept:
                 warnings.append(
                     f"category {category.value}: no eligible repositories at ap={ap:g}"
                 )
                 continue
-            before = [s.before for s in kept]
-            after = [s.after for s in kept]
-            injected = [s.injected_only for s in kept if s.injected_only is not None]
             rows.append(
                 SimRow(
                     category=category.value,
                     ap=ap,
-                    dense_pct=sum(d.dense_pct for d in after) / len(after),
-                    regular_pct=sum(d.regular_pct for d in after) / len(after),
-                    dispersed_pct=sum(d.dispersed_pct for d in after) / len(after),
-                    before_dense_pct=sum(d.dense_pct for d in before) / len(before),
-                    before_regular_pct=sum(d.regular_pct for d in before) / len(before),
-                    before_dispersed_pct=sum(d.dispersed_pct for d in before) / len(before),
-                    injected_dense_pct=_mean_or_none([d.dense_pct for d in injected]),
-                    injected_regular_pct=_mean_or_none([d.regular_pct for d in injected]),
-                    injected_dispersed_pct=_mean_or_none([d.dispersed_pct for d in injected]),
+                    **_mean_shares([s.after for s in kept], ""),
+                    **_mean_shares([s.before for s in kept], "before_"),
+                    **_mean_shares([s.injected_only for s in kept if s.injected_only is not None], "injected_"),
                     n_repos=len(kept),
-                    n_excluded=n_excluded,
+                    n_excluded=len(sims) - len(kept),
                 )
             )
-            for idx in sorted(after_by_idx):
-                after_vals = after_by_idx[idx]
+            for idx, (after_mean, n_repos) in enumerate(_window_means([s.timeline for s in kept])):
                 timelines.append(
                     TimelineRow(
                         category=category.value,
                         ap=ap,
                         window_index=idx,
-                        before_regular_pct=before_means.get(idx),
-                        after_regular_pct=sum(after_vals) / len(after_vals),
-                        n_repos=len(after_vals),
+                        before_regular_pct=before_means[idx] if idx < len(before_means) else None,
+                        after_regular_pct=after_mean,
+                        n_repos=n_repos,
                     )
                 )
     return SimTable(
@@ -455,18 +451,3 @@ def simulate_corpus(
         warnings=tuple(warnings),
         results=results,
     )
-
-
-def _shared_before(
-    repos: list[Repository], config: SimConfig, timeline_window: float
-) -> tuple[list[_Before], dict[int, float]]:
-    """The before sides of ``repos`` and their mean regular share per window index."""
-    sides = [_before_side(repo, config) for repo in repos]
-    by_idx: dict[int, list[float]] = {}
-    for side in sides:
-        if side.exclusion is None:
-            for idx, point in enumerate(
-                timeline_from_times(side.real_times, timeline_window, config.alpha)
-            ):
-                by_idx.setdefault(idx, []).append(point.regular_pct)
-    return sides, {idx: sum(vals) / len(vals) for idx, vals in by_idx.items()}

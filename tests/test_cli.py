@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import gc
 import hashlib
@@ -10,16 +11,18 @@ import importlib.util
 import json
 import os
 import shutil
+import socket
 import subprocess
 import sys
 import tarfile
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
 from ghreview import __version__, analytics, community, sentiment, simulator
 from ghreview.archive import ArchiveError, load_archive, save_archive
-from ghreview.cli import REPORT_FILES, main
+from ghreview.cli import REPORT_FILES, build_parser, main
 from ghreview.community import build_graph, ics
 from ghreview.models import Category, Corpus, Issue, Repository, SimConfig, User, reviewer_postings
 from ghreview.synthetic import random_corpus
@@ -268,6 +271,7 @@ def test_simulate_rejects_out_of_range_probability(capsys, tiny_path, out_dir):
         (["--ap", "1.5"], "acceptance_probability must lie in [0, 1], got 1.5"),
         (["--min-iap-issues", "1"], "min_iap_issues must be at least 2 (need one gap)"),
         (["--iap", "2y", "--horizon", "2y"], "horizon must exceed iap"),
+        (["--window", "0"], "window must be positive, got 0.0"),
     ],
 )
 def test_simulation_flags_are_checked_by_simconfigs_rules(capsys, tiny_path, out_dir, flags, rule):
@@ -291,6 +295,18 @@ def test_simulation_flag_defaults_are_simconfigs(tiny_path, out_dir, monkeypatch
     monkeypatch.setattr(simulator, "simulate_corpus", recording)
     assert main(["simulate", "--in", tiny_path, "--out", out_dir]) == 0
     assert handed == [[SimConfig(acceptance_probability=ap) for ap in (0.3, 0.6, 0.9)]]
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+def test_every_simconfig_option_is_a_flag_with_its_default(command):
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {a.dest: a for a in sub.choices[command]._actions}
+    common = {a.dest for a in sub.choices["summary"]._actions}  # --in, --out, --seed, ...
+    options = {f.name: f.default for f in fields(SimConfig)}
+    del options["acceptance_probability"], options["max_events"]  # --ap; a library-only cap
+    # each simulation flag is a SimConfig field, and each field a flag with the field's default
+    assert set(flags) - common - {"ap"} <= set(options)
+    assert {name: flags[name].default if name in flags else MISSING for name in options} == options
 
 
 # --- community -------------------------------------------------------------
@@ -515,6 +531,21 @@ def test_fetch_option_rules_are_usage_errors_of_fetch(capsys, tmp_path, flag, va
     assert f"ghreview fetch: error: {rule}\n" in err
     assert state.requests == 0
     assert not archive.exists()
+
+
+@pytest.mark.parametrize("targets", [[], ["--repo", "a/b", "--sample", "0"]])
+def test_fetch_with_nothing_to_fetch_is_a_usage_error(capsys, tmp_path, targets):
+    with socket.socket() as sock:  # a port nothing listens on once closed
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    archive = tmp_path / "fetched.ndjson"
+    with pytest.raises(SystemExit) as err:
+        main(["fetch", *targets, "--base-url", f"http://127.0.0.1:{port}", "--out-archive", str(archive)])
+    assert err.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ghreview fetch ")
+    assert "ghreview fetch: error: nothing to fetch" in err
+    assert list(tmp_path.iterdir()) == []  # no archive, no manifest
 
 
 def _fetch_args(base_url, archive, *extra) -> list[str]:

@@ -90,3 +90,16 @@ def test_every_function_the_benchmark_tracer_wraps_resolves(monkeypatch):
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
     assert callable(importlib.import_module("ghreview.fetcher").GitHubClient.get)
+
+
+def test_the_readme_library_example_runs():
+    root = Path(__file__).parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert '"corpus.ndjson"' in code
+    code = code.replace('"corpus.ndjson"', repr(str(root / "tests" / "fixtures" / "tiny_corpus.ndjson")))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0.0", "62.96296296296296"]

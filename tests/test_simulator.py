@@ -388,17 +388,15 @@ def test_simulate_corpus_empty_corpus_warns():
 
 
 @pytest.mark.parametrize("window", [0.0, -1.0, math.nan])
-def test_sweep_checks_the_timeline_window_before_any_run(window, monkeypatch):
-    from ghreview.models import Corpus
+def test_config_rejects_a_window_that_is_not_positive(window):
+    with pytest.raises(ValueError, match="window must be positive"):
+        SimConfig(acceptance_probability=0.5, window=window)
 
-    def no_run(*args, **kwargs):
-        raise AssertionError("a run started before the window was checked")
 
-    monkeypatch.setattr(simulator, "simulate", no_run)
-    all_excluded = Corpus(repos=[periodic_repo("b/thin", n_issues=2)], users={})
-    for corpus in (Corpus(), all_excluded, _three_category_corpus()):
-        with pytest.raises(ValueError, match="window must be positive"):
-            simulate_corpus(corpus, [SimConfig(acceptance_probability=0.5)], timeline_window=window)
+def test_config_accepts_an_infinite_window():
+    # one window holds every gap, so each series has one point
+    result = simulate(periodic_repo("a/one", n_issues=60), SimConfig(acceptance_probability=0.5, window=math.inf))
+    assert len(result.timeline) == len(result._before.timeline) == 1
 
 
 def test_sweep_holds_no_memory_per_injection():
@@ -414,14 +412,12 @@ def test_sweep_holds_no_memory_per_injection():
     # one window spans the horizon, so both tables hold the same timeline rows
     window = 4 * YEAR
     # lazily built per-repo state is made here, outside the comparison
-    simulate_corpus(corpus, [SimConfig(acceptance_probability=0.0, iap=DAY)], timeline_window=window)
+    simulate_corpus(corpus, [SimConfig(acceptance_probability=0.0, iap=DAY, window=window)])
 
     def held_by_sweep(ap):
         tracemalloc.start()
         try:
-            table = simulate_corpus(
-                corpus, [SimConfig(acceptance_probability=ap, iap=DAY)], timeline_window=window
-            )
+            table = simulate_corpus(corpus, [SimConfig(acceptance_probability=ap, iap=DAY, window=window)])
             return table, tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -494,6 +490,7 @@ def _fields(result):
         result.injected_times,
         result.final_idm,
         result.n_fires,
+        result.timeline,
         _events(result),
     )
 
@@ -539,8 +536,8 @@ def test_simulate_corpus_matches_independent_runs(mode):
     window = 21 * DAY
     for seed in range(3):
         corpus = _sweep_corpus(seed)
-        configs = [SimConfig(acceptance_probability=ap, seed=seed, **MODES[mode]) for ap in APS]
-        table = simulate_corpus(corpus, configs, timeline_window=window)
+        configs = [SimConfig(acceptance_probability=ap, seed=seed, window=window, **MODES[mode]) for ap in APS]
+        table = simulate_corpus(corpus, configs)
         n_excluded = 0
         for category in corpus.categories():
             repos = sorted(corpus.by_category(category), key=lambda r: r.id)
@@ -553,6 +550,27 @@ def test_simulate_corpus_matches_independent_runs(mode):
                     n_excluded += sim.excluded
         assert n_excluded >= 2 * len(APS)  # the sparse and the burst repo at every AP
         assert list(table.timelines) == _naive_timelines(corpus, configs, window)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_each_run_carries_its_fig6_series(mode):
+    def shares(times, config):
+        return tuple(p.regular_pct for p in timeline_from_times(times, config.window, config.alpha))
+
+    corpus = _sweep_corpus(7)
+    for window in (9 * DAY, 40 * DAY):
+        for ap in APS:
+            config = SimConfig(acceptance_probability=ap, seed=7, window=window, **MODES[mode])
+            for repo in corpus.repos:
+                result = simulate(repo, config)
+                before = simulator._before_side(repo, config)
+                if result.excluded:
+                    assert result.timeline == before.timeline == ()
+                    continue
+                merged = sorted(result.real_times + result.injected_times)
+                assert result.timeline == shares(merged, config), (repo.id, ap)
+                assert before.timeline == shares(result.real_times, config), repo.id
+                assert result.timeline
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -712,8 +730,8 @@ def test_sweep_timelines_match_the_window_walk_oracle(mode, monkeypatch):
         return points
 
     monkeypatch.setattr(simulator, "timeline_from_times", recording)
-    configs = [SimConfig(acceptance_probability=ap, seed=2, **MODES[mode]) for ap in APS]
-    table = simulate_corpus(_sweep_corpus(5), configs, timeline_window=21 * DAY)
+    configs = [SimConfig(acceptance_probability=ap, seed=2, window=21 * DAY, **MODES[mode]) for ap in APS]
+    table = simulate_corpus(_sweep_corpus(5), configs)
     after_sides = {
         tuple(sorted(sim.real_times + sim.injected_times))
         for sims in table.results.values()
