@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "models": ("CATEGORY_ORDER", "Category", "Comment", "Commit", "Corpus", "Issue",
-               "Repository", "SimConfig", "User", "validate"),
+               "FetchPlan", "Repository", "SimConfig", "User", "validate"),
     "archive": ("ArchiveError", "ArchiveIntegrityError", "ArchiveInvariantError",
                 "ArchiveParseError", "load_archive", "save_archive"),
     "units": ("ALPHA_DEFAULT",),
@@ -27,7 +27,7 @@ _EXPORTS = {
                   "correlate_features", "expertise_coverage", "pearson",
                   "popularity_vs_comments", "repo_summary"),
     "sentiment": ("SentimentLexicon", "default_lexicon", "repo_sentiment", "score_comment"),
-    "fetcher": ("FetchPlan", "fetch_corpus", "fetch_repository", "search_by_topic"),
+    "fetcher": ("fetch_corpus", "fetch_repository", "search_by_topic"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import gc
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -73,13 +72,8 @@ class ArchiveInvariantError(ArchiveError):
 
 def _parse_timestamp(value, line_no, field: str) -> float:
     if type(value) is int or type(value) is float:  # exact types: a bool is no timestamp
-        try:
-            value = float(value)
-        except OverflowError:  # an integer beyond float range
-            value = math.inf
-        if not math.isfinite(value):
-            raise ArchiveParseError(line_no, f"field {field!r} must be a finite timestamp")
-        return value
+        # ``_read`` converted every finite one, so this is NaN, ±inf or an int beyond float range
+        raise ArchiveParseError(line_no, f"field {field!r} must be a finite timestamp")
     if isinstance(value, str):
         try:
             dt = datetime.fromisoformat(value.replace("Z", "+00:00"))

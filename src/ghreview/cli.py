@@ -28,7 +28,7 @@ from types import ModuleType
 from typing import NamedTuple
 
 from . import __version__
-from .models import CATEGORY_ORDER, Category, Corpus, SimConfig
+from .models import CATEGORY_ORDER, Category, Corpus, FetchPlan, SimConfig
 from .units import ALPHA_DEFAULT, HOUR, parse_duration
 
 
@@ -482,6 +482,8 @@ def _add_common(parser: argparse.ArgumentParser, needs_out: bool = True,
 def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     """The simulation options: ``SimConfig`` fields, with its defaults.  ``main`` checks
     them by building a ``SimConfig`` per ``--ap``, so its rules are theirs."""
+    parser.add_argument("--alpha", type=_duration, default=SimConfig.alpha,
+                        help="half-width of the regular band (e.g. 6h)")
     parser.add_argument("--ap", type=float, nargs="+", default=[0.3, 0.6, 0.9],
                         help="acceptance probabilities to simulate")
     parser.add_argument("--iap", type=_duration, default=SimConfig.iap,
@@ -512,17 +514,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=_output_command(build), subcommand=name, _parser=p)
         return p
 
+    # ``FetchPlan`` fields take its defaults; ``main`` checks them by building the plan
     p = sub.add_parser("fetch", help="pull repositories from a REST endpoint into an archive")
     p.add_argument("--repo", action="append", default=[], help="owner/name slug; repeatable")
     p.add_argument("--topic", help="also fetch repositories matching this topic")
-    p.add_argument("--category", default=Category.RANDOM.value,
+    p.add_argument("--category", default=FetchPlan.category.value,
                    choices=[c.value for c in CATEGORY_ORDER])
     p.add_argument("--out-archive", required=True, help="archive file to write")
-    p.add_argument("--page-size", type=int, default=100)
-    p.add_argument("--max-pages", type=int, default=50)
-    p.add_argument("--base-url", default="https://api.github.com")
+    p.add_argument("--page-size", type=int, default=FetchPlan.page_size)
+    p.add_argument("--max-pages", type=int, default=FetchPlan.max_pages)
+    p.add_argument("--base-url", default=FetchPlan.base_url)
     p.add_argument("--cache-dir", help="conditional-request cache directory")
-    p.add_argument("--workers", type=int, default=4)
+    p.add_argument("--workers", type=int, default=FetchPlan.workers)
     p.add_argument("--token", help="API token (else read from GITHUB_TOKEN)")
     p.add_argument("--sample", type=_count,
                    help="fetch only a seeded uniform sample of N of the named repos")
@@ -541,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="half-width of the regular band (e.g. 6h)")
 
     p = output_command("simulate", _simulate_tables, "notification simulation over the corpus")
-    p.add_argument("--alpha", type=positive_duration, default=ALPHA_DEFAULT)
     _add_sim_flags(p)
 
     p = output_command("community", _community_tables, "issue community graphs and scores")
@@ -556,34 +558,25 @@ def build_parser() -> argparse.ArgumentParser:
     output_command("sentiment", _sentiment_tables, "per-repo mean comment sentiment")
 
     p = output_command("report", _report_tables, "full pipeline: all table and figure files")
-    p.add_argument("--alpha", type=positive_duration, default=ALPHA_DEFAULT)
     _add_sim_flags(p)
 
     return parser
+
+
+def _config(cls, args: argparse.Namespace, **named):
+    """A ``cls`` config from the flags named after its fields; ``named`` overrides or adds."""
+    flags = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    return cls(**(flags | named))
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:  # a broken rule is a usage error, found before the load and before any request
         if hasattr(args, "ap"):  # before any stage runs, too
-            args._configs = [
-                SimConfig(acceptance_probability=ap, iap=args.iap, horizon=args.horizon,
-                          alpha=args.alpha, seed=args.seed, min_iap_issues=args.min_iap_issues,
-                          jitter=args.jitter, generative=args.generative, window=args.window)
-                for ap in args.ap
-            ]
+            args._configs = [_config(SimConfig, args, acceptance_probability=ap) for ap in args.ap]
         if args.subcommand == "fetch":
-            args._plan = fetcher.FetchPlan(
-                targets=tuple(args.repo),
-                topic=args.topic,
-                token=args.token,
-                page_size=args.page_size,
-                max_pages=args.max_pages,
-                category=Category.parse(args.category),
-                base_url=args.base_url,
-                cache_dir=args.cache_dir,
-                workers=args.workers,
-            )
+            args._plan = _config(FetchPlan, args, targets=tuple(args.repo),
+                                 category=Category.parse(args.category))
             if not (args.repo or args.topic) or args.sample == 0:
                 raise ValueError("nothing to fetch: give a --repo or a --topic, and a --sample above 0")
     except ValueError as exc:

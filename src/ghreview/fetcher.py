@@ -46,7 +46,7 @@ from urllib.parse import quote, urljoin, urlsplit
 
 from . import __version__
 from .archive import ArchiveError, _atomic_write, _Loader
-from .models import Category, Corpus, Repository, User
+from .models import Corpus, FetchPlan, Repository, User
 
 __all__ = [
     "FetchPlan",
@@ -63,7 +63,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-DEFAULT_BASE_URL = "https://api.github.com"
 TOKEN_ENV_VAR = "GITHUB_TOKEN"
 _TIMEOUT_S = 30
 _REDIRECTS = frozenset({301, 302, 307, 308})
@@ -92,27 +91,6 @@ class PayloadDecodeError(FetchError):
     def __init__(self, url: str, reason: str):
         super().__init__(f"undecodable payload from {url}: {reason}")
         self.url = url
-
-
-@dataclass
-class FetchPlan:
-    targets: tuple[str, ...] = ()
-    topic: str | None = None
-    token: str | None = None
-    page_size: int = 100
-    max_pages: int = 50
-    category: Category = Category.RANDOM
-    base_url: str = DEFAULT_BASE_URL
-    cache_dir: str | None = None
-    workers: int = 4
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.page_size <= 100:
-            raise ValueError(f"page_size must be in 1..100, got {self.page_size}")
-        if self.max_pages < 1:
-            raise ValueError("max_pages must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
 
 
 @dataclass

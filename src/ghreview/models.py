@@ -9,8 +9,9 @@ threads without locking, and can keep what it derives from a corpus on
 the corpus itself (``Corpus.index``) for the rest of the run.
 
 Timestamps are UTC seconds since the epoch throughout.  ``SimConfig``, the
-notification simulator's options, lives here too: a command checks them
-right after parsing its arguments, before it runs any stage module.
+notification simulator's options, and ``FetchPlan``, the fetcher's, live
+here too: a command checks them right after parsing its arguments, before
+it runs any stage module.
 """
 
 from __future__ import annotations
@@ -113,12 +114,6 @@ class Corpus:
     rejected: list[Rejection] = field(default_factory=list)
     # ``analytics.corpus_index`` fills this on first use
     index: object = field(default=None, init=False, repr=False, compare=False)
-
-    def repo(self, repo_id: str) -> Repository:
-        for r in self.repos:
-            if r.id == repo_id:
-                return r
-        raise KeyError(repo_id)
 
     def by_category(self, category: Category | None) -> list[Repository]:
         if category is None:
@@ -297,8 +292,32 @@ def validate(corpus: Corpus) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# Simulation options
+# Command options
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class FetchPlan:
+    """The fetcher's options: the one definition of their defaults and rules.
+    ``fetch`` takes its flag defaults from these fields."""
+
+    targets: tuple[str, ...] = ()
+    topic: str | None = None
+    token: str | None = None
+    page_size: int = 100
+    max_pages: int = 50
+    category: Category = Category.RANDOM
+    base_url: str = "https://api.github.com"
+    cache_dir: str | None = None
+    workers: int = 4
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.page_size <= 100:
+            raise ValueError(f"page_size must be in 1..100, got {self.page_size}")
+        if self.max_pages < 1:
+            raise ValueError("max_pages must be positive")
+        if self.workers < 1:
+            raise ValueError("workers must be positive")
 
 
 @dataclass(frozen=True)

@@ -102,10 +102,10 @@ class SimResult:
 
     ``timeline`` is the after side's Fig 6 series: the Regular share of each
     non-empty ``config.window`` over the real and injected times.  The event
-    log and the injected times are replayed when first read: the RNG is
-    keyed by seed and repo id, so the replay is exact.  So a sweep holds no
-    per-run issue times; ``n_injected`` counts the injections without a
-    replay.
+    log is replayed when first read, and the injected times are read from
+    it: the RNG is keyed by seed and repo id, so the replay is exact.  So a
+    sweep holds no per-run issue times; ``n_injected`` counts the
+    injections without a replay.
     """
 
     repo_id: str
@@ -131,10 +131,7 @@ class SimResult:
 
     @cached_property
     def injected_times(self) -> tuple[float, ...]:
-        if self._before is None:
-            return ()
-        merged, injected_at, *_ = _notify(self._before, self.config)
-        return tuple(merged[k] for k in injected_at)
+        return tuple(e.time for e in self.events if e.kind is EventKind.INJECTED_ISSUE)
 
 
 def _generative_times(

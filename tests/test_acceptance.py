@@ -353,7 +353,7 @@ def test_fetcher_pagination_cache_and_budget(tmp_path):
                 targets=(TOOLS, WIDGETS),
             )
             cold = fetch_corpus(plan)
-            widgets = cold.repo(WIDGETS)
+            widgets = next(r for r in cold.repos if r.id == WIDGETS)
             assert len(widgets.issues) == WIDGETS_ISSUES
             assert sum(len(i.comments) for i in widgets.issues) == WIDGETS_COMMENTS
             assert len(widgets.commits) == WIDGETS_COMMITS_KEPT

@@ -24,7 +24,8 @@ from ghreview import __version__, analytics, community, sentiment, simulator
 from ghreview.archive import ArchiveError, load_archive, save_archive
 from ghreview.cli import REPORT_FILES, build_parser, main
 from ghreview.community import build_graph, ics
-from ghreview.models import Category, Corpus, Issue, Repository, SimConfig, User, reviewer_postings
+from ghreview.models import (Category, Corpus, FetchPlan, Issue, Repository, SimConfig, User,
+                             reviewer_postings)
 from ghreview.synthetic import random_corpus
 from conftest import GOLDEN, TINY
 from fetch_fixture import TOOLS, WIDGETS, build_dataset, fixture_server
@@ -272,6 +273,7 @@ def test_simulate_rejects_out_of_range_probability(capsys, tiny_path, out_dir):
         (["--min-iap-issues", "1"], "min_iap_issues must be at least 2 (need one gap)"),
         (["--iap", "2y", "--horizon", "2y"], "horizon must exceed iap"),
         (["--window", "0"], "window must be positive, got 0.0"),
+        (["--alpha", "0"], "alpha must be positive"),
     ],
 )
 def test_simulation_flags_are_checked_by_simconfigs_rules(capsys, tiny_path, out_dir, flags, rule):
@@ -531,6 +533,17 @@ def test_fetch_option_rules_are_usage_errors_of_fetch(capsys, tmp_path, flag, va
     assert f"ghreview fetch: error: {rule}\n" in err
     assert state.requests == 0
     assert not archive.exists()
+
+
+def test_every_fetchplan_option_is_a_flag_with_its_default():
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {a.dest: a for a in sub.choices["fetch"]._actions}
+    options = {f.name: f.default for f in fields(FetchPlan)}
+    del options["targets"]  # --repo
+    # each fetch flag but the command's own is a FetchPlan field, and each field a flag
+    # with the field's default
+    assert set(flags) - {"help", "repo", "out_archive", "sample", "seed"} <= set(options)
+    assert {name: flags[name].default if name in flags else MISSING for name in options} == options
 
 
 @pytest.mark.parametrize("targets", [[], ["--repo", "a/b", "--sample", "0"]])
@@ -1348,6 +1361,16 @@ def test_simulation_flag_usage_error_loads_no_stage(tmp_path, command, flags):
     assert rc == 2
     assert loaded == {"cli", "models", "units"}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--workers", "0"], ["--page-size", "500"], ["--max-pages", "0"]])
+def test_fetch_flag_usage_error_loads_no_stage(tmp_path, flags):
+    archive = tmp_path / "fetched.ndjson"
+    rc, loaded = _modules_loaded_by(["fetch", "--repo", TOOLS, "--base-url", "http://127.0.0.1:9",
+                                     "--out-archive", str(archive), *flags])
+    assert rc == 2
+    assert loaded == {"cli", "models", "units"}
+    assert not archive.exists()
 
 
 @pytest.mark.parametrize("command", ["report", "simulate"])

@@ -78,6 +78,16 @@ def test_simconfig_resolves_without_running_the_simulator():
     assert proc.stdout.split() == ["False"]
 
 
+def test_fetchplan_resolves_without_running_the_fetcher():
+    # the CLI checks the fetch flags with FetchPlan before any stage module runs
+    code = "import sys, ghreview; ghreview.FetchPlan; print('ghreview.fetcher' in sys.modules)"
+    src = str(Path(importlib.util.find_spec("ghreview").origin).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_every_function_the_benchmark_tracer_wraps_resolves(monkeypatch):
     # perfbench/tracer.py wraps each TRACED (module, attribute) with a bare getattr, so a
     # renamed or deleted function would break every traced benchmark run
